@@ -6,6 +6,18 @@ purpose is exact measurement of the true per-step and multi-step errors of
 the amplified truncated operator against the exact evolution, so no
 statevector or sparse shortcuts are taken.
 
+Pauli strings are built from their symplectic form (Aaronson & Gottesman,
+quant-ph/0406196): bit masks ``x`` (X or Y) and ``z`` (Z or Y) with the
+first axis as the most significant bit, matching ``np.kron`` order.  Since
+``Y = i X Z``, a string has one nonzero entry per column ``c``::
+
+    P[c ^ x, c] = phase * i**n_Y * (-1)**popcount(c & z)
+
+Each entry is a weight times +-1 or +-i, so the matrices are bit-for-bit
+those of the Kronecker-product construction, at O(2**n) cost per term.
+Operator norms are the largest singular value of a full SVD at every size,
+exact to double precision.
+
 Constructions are capped at a configurable qubit count (default 12, env
 override ``LCUTRUNC_QUBIT_CAP``) to keep dense norms tractable at desk scale.
 """
@@ -13,15 +25,13 @@ override ``LCUTRUNC_QUBIT_CAP``) to keep dense norms tractable at desk scale.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, ConvergenceError
+from .errors import CapExceeded
 from .hamiltonian import PauliString, SortedHamiltonian
 from .planner import (
     TruncationVector,
@@ -34,16 +44,7 @@ from .planner import (
 DEFAULT_QUBIT_CAP = 12
 QUBIT_CAP_ENV = "LCUTRUNC_QUBIT_CAP"
 
-# Full decomposition is cheaper and exact up to this dimension; power
-# iteration takes over beyond it.
-_SVD_DIM_LIMIT = 64
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def qubit_cap() -> int:
@@ -63,10 +64,36 @@ def _check_cap(qubit_count: int, cap: int | None) -> None:
         raise CapExceeded(f"{qubit_count} qubits exceeds the dense cap of {limit}")
 
 
+def _symplectic(op: PauliString) -> tuple[int, int, complex]:
+    """``(x_mask, z_mask, phase * i**n_Y)``, the first axis being the top bit."""
+    x = z = n_y = 0
+    for axis in op.axes:
+        x = (x << 1) | (axis in "XY")
+        z = (z << 1) | (axis in "YZ")
+        n_y += axis == "Y"
+    return x, z, op.phase * _I_POWERS[n_y % 4]
+
+
+def _add_paulis(matrix: np.ndarray, weighted: Iterable[tuple[float, PauliString]]) -> None:
+    """Add ``weight * P`` to ``matrix`` in place for each pair, in the given order."""
+    dim = matrix.shape[0]
+    columns = np.arange(dim)
+    # the low bit of the xor of all shifts of c is popcount(c) mod 2
+    parity = np.zeros(dim, dtype=columns.dtype)
+    for shift in range(dim.bit_length() - 1):
+        parity ^= columns >> shift
+    signs = 1.0 - 2.0 * (parity & 1)
+    for weight, op in weighted:
+        x, z, unit = _symplectic(op)
+        matrix[columns ^ x, columns] += (weight * unit) * signs[columns & z]
+
+
 def pauli_string_matrix(op: PauliString) -> np.ndarray:
-    """Dense matrix of a phased Pauli string via Kronecker products."""
-    factors = [PAULI_MATRICES[axis] for axis in op.axes]
-    return op.phase * reduce(np.kron, factors)
+    """Dense matrix of a phased Pauli string from its symplectic form."""
+    dim = 2 ** len(op)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    _add_paulis(matrix, [(1.0, op)])
+    return matrix
 
 
 def hamiltonian_matrix(
@@ -80,15 +107,12 @@ def hamiltonian_matrix(
         raise ValueError(f"prefix length {m} out of range 0..{hamiltonian.num_terms}")
     dim = 2**hamiltonian.qubit_count
     total = np.zeros((dim, dim), dtype=complex)
-    for term in hamiltonian.terms[:m]:
-        total += term.alpha * pauli_string_matrix(term.op)
+    _add_paulis(total, ((term.alpha, term.op) for term in hamiltonian.terms[:m]))
     return total
 
 
-def exact_evolution(
-    hamiltonian: SortedHamiltonian, t: float, cap: int | None = None
-) -> np.ndarray:
-    """exp(-i H t) by Hermitian eigendecomposition.
+def _spectrum(hamiltonian: SortedHamiltonian, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the full Hamiltonian matrix.
 
     Raises if the assembled matrix is not Hermitian (possible when folded
     phases of +-i make individual terms anti-Hermitian).
@@ -97,9 +121,20 @@ def exact_evolution(
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
         raise ValueError("Hamiltonian matrix is not Hermitian; cannot exponentiate by eigendecomposition")
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    phases = np.exp(-1j * t * eigenvalues)
+    return np.linalg.eigh(matrix)
+
+
+def _unitary(eigenvectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """V diag(phases) V^dag."""
     return (eigenvectors * phases) @ eigenvectors.conj().T
+
+
+def exact_evolution(
+    hamiltonian: SortedHamiltonian, t: float, cap: int | None = None
+) -> np.ndarray:
+    """exp(-i H t) by Hermitian eigendecomposition; raises if H is not Hermitian."""
+    eigenvalues, eigenvectors = _spectrum(hamiltonian, cap)
+    return _unitary(eigenvectors, np.exp(-1j * t * eigenvalues))
 
 
 def truncated_series_operator(
@@ -112,21 +147,31 @@ def truncated_series_operator(
 
     Order ``k`` contributes ``(-it)^k / k!`` times the ordered product of
     the per-order prefix Hamiltonians ``H_1 H_2 ... H_k``; an empty order
-    terminates the series.
+    terminates the series.  The sum is taken by Horner's rule from the top
+    order down, ``S_k = I + (-it/k) H_k S_{k+1}``.  Each prefix Hamiltonian
+    extends the previous one in place, so for nonincreasing levels, the
+    usual shape of greedy plans, the terms are visited once; an order with
+    fewer terms than the order after it restarts the build.
     """
     _check_cap(hamiltonian.qubit_count, cap)
     vec = as_levels(levels)
+    counts = vec.levels[: vec.levels.index(0)] if 0 in vec.levels else vec.levels
+    if counts and max(counts) > hamiltonian.num_terms:
+        raise ValueError(f"prefix length {max(counts)} out of range 0..{hamiltonian.num_terms}")
     dim = 2**hamiltonian.qubit_count
-    total = np.eye(dim, dtype=complex)
-    product = np.eye(dim, dtype=complex)
-    coefficient = 1.0 + 0.0j
-    for k, count in enumerate(vec.levels, start=1):
-        if count == 0:
-            break
-        product = product @ hamiltonian_matrix(hamiltonian, count, cap=cap)
-        coefficient *= -1j * t / k
-        total += coefficient * product
-    return total
+    prefix = np.zeros((dim, dim), dtype=complex)
+    built = 0
+    series = np.eye(dim, dtype=complex)
+    for k in range(len(counts), 0, -1):
+        count = counts[k - 1]
+        if count < built:
+            prefix[:] = 0.0
+            built = 0
+        _add_paulis(prefix, ((term.alpha, term.op) for term in hamiltonian.terms[built:count]))
+        built = count
+        series = (-1j * t / k) * (prefix if k == len(counts) else prefix @ series)
+        series.flat[:: dim + 1] += 1.0
+    return series
 
 
 def amplification_polynomial(operator: np.ndarray, s: float) -> np.ndarray:
@@ -147,39 +192,12 @@ def amplified_operator(
     return amplification_polynomial(truncated, s)
 
 
-def power_iteration_norm(
-    matrix: np.ndarray, rtol: float = 1e-12, max_iterations: int = 100_000
-) -> float:
-    """Largest singular value by power iteration on M^dag M."""
-    gram = matrix.conj().T @ matrix
-    dim = gram.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    vector /= np.linalg.norm(vector)
-    estimate = 0.0
-    for _ in range(max_iterations):
-        image = gram @ vector
-        norm = np.linalg.norm(image)
-        if norm == 0.0:
-            return 0.0
-        vector = image / norm
-        new_estimate = float(np.real(vector.conj() @ (gram @ vector)))
-        if abs(new_estimate - estimate) <= rtol * new_estimate:
-            return math.sqrt(max(new_estimate, 0.0))
-        estimate = new_estimate
-    raise ConvergenceError(f"power iteration did not converge within {max_iterations} iterations")
-
-
-def operator_norm(
-    matrix: np.ndarray, rtol: float = 1e-12, max_iterations: int = 100_000
-) -> float:
-    """Largest singular value; exact decomposition for small matrices."""
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value, from a full SVD at every size."""
     matrix = np.asarray(matrix)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("operator norm requires finite entries")
-    if matrix.shape[0] <= _SVD_DIM_LIMIT:
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
-    return power_iteration_norm(matrix, rtol=rtol, max_iterations=max_iterations)
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -216,6 +234,14 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
+def _step_error(
+    hamiltonian: SortedHamiltonian, vec: TruncationVector, exact: np.ndarray, cap: int | None
+) -> float:
+    """||exact - amplified(t_inf)|| for one truncation vector, given exp(-iH t_inf)."""
+    amplified = amplified_operator(hamiltonian, vec, t_infinity(hamiltonian), cap=cap)
+    return operator_norm(exact - amplified)
+
+
 def single_step_error(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
@@ -223,15 +249,12 @@ def single_step_error(
 ) -> ErrorReport:
     """Measured ||U(t_inf) - amplified(t_inf)|| alongside the analytic bound."""
     vec = as_levels(levels)
-    t = t_infinity(hamiltonian)
-    exact = exact_evolution(hamiltonian, t, cap=cap)
-    amplified = amplified_operator(hamiltonian, vec, t, cap=cap)
-    delta = operator_norm(exact - amplified)
+    exact = exact_evolution(hamiltonian, t_infinity(hamiltonian), cap=cap)
     return ErrorReport(
         levels=vec,
         cost=vec.cost,
         epsilon=epsilon_bound(hamiltonian, vec),
-        delta=delta,
+        delta=_step_error(hamiltonian, vec, exact, cap),
     )
 
 
@@ -241,20 +264,25 @@ def multi_step_error(
     r_max: int,
     cap: int | None = None,
 ) -> ErrorReport:
-    """Measured ||U^r - amplified^r|| for r = 1..r_max by repeated multiplication."""
+    """Measured ||U^r - amplified^r|| for r = 1..r_max.
+
+    ``U^r`` comes from the r-th powers of the eigenphases of one
+    eigendecomposition; ``amplified^r`` from repeated multiplication.
+    """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     vec = as_levels(levels)
     t = t_infinity(hamiltonian)
-    exact = exact_evolution(hamiltonian, t, cap=cap)
+    eigenvalues, eigenvectors = _spectrum(hamiltonian, cap)
+    step_phases = np.exp(-1j * t * eigenvalues)
     amplified = amplified_operator(hamiltonian, vec, t, cap=cap)
-    exact_power = np.eye(exact.shape[0], dtype=complex)
-    amplified_power = np.eye(exact.shape[0], dtype=complex)
+    phases, amplified_power = step_phases, amplified
     r_steps = []
     for r in range(1, r_max + 1):
-        exact_power = exact_power @ exact
-        amplified_power = amplified_power @ amplified
-        r_steps.append((r, operator_norm(exact_power - amplified_power)))
+        if r > 1:
+            phases = phases * step_phases
+            amplified_power = amplified_power @ amplified
+        r_steps.append((r, operator_norm(_unitary(eigenvectors, phases) - amplified_power)))
     return ErrorReport(
         levels=vec,
         cost=vec.cost,

@@ -254,7 +254,3 @@ def logspread_hamiltonian(
         terms.append(HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes)))
     return SortedHamiltonian.from_terms(terms, label=f"logspread-{num_terms}x{decades}")
 
-
-def reconstruct_coefficients(hamiltonian: SortedHamiltonian) -> list[tuple[complex, str]]:
-    """Return (signed coefficient, axes) pairs, undoing the phase folding."""
-    return [(term.coefficient, term.op.axes) for term in hamiltonian.terms]

@@ -189,10 +189,11 @@ def solve_t_root(
 
     s is a polynomial in t with positive coefficients, increasing from 1 at
     t = 0, so the root is unique.  ``s(1/Lambda_1) >= 2`` always brackets it.
+    An empty first order (including the empty vector) leaves s(t) = 1.
     """
     vec = as_levels(levels)
-    if vec.kappa == 0:
-        raise ValueError("empty truncation vector: s(t) = 1 has no root at 2")
+    if vec.level(1) == 0:
+        raise ValueError("empty first order: s(t) = 1 has no root at 2")
     lo = 0.0
     hi = 1.0 / hamiltonian.prefix_lambda(vec.level(1))
     for _ in range(max_iterations):

@@ -13,9 +13,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .densesim import single_step_error
+from .densesim import _step_error, exact_evolution
 from .hamiltonian import SortedHamiltonian
-from .planner import epsilon_bound, full_order_levels, greedy_plan
+from .planner import epsilon_bound, full_order_levels, greedy_plan, t_infinity
 
 CSV_COLUMNS = (
     "n",
@@ -71,6 +71,9 @@ def generate_comparison_report(
         prefix_vector = prefix_vector.bump(step.chosen_k)
         eps_at_cost.append(epsilon_bound(hamiltonian, prefix_vector))
 
+    # one eigendecomposition serves every dense row
+    exact = exact_evolution(hamiltonian, t_infinity(hamiltonian), cap=cap) if with_dense else None
+
     rows = []
     match_cost = 0
     for n in range(1, n_max + 1):
@@ -86,12 +89,8 @@ def generate_comparison_report(
 
         delta_full = delta_greedy = delta_ratio = None
         if with_dense:
-            delta_full = single_step_error(
-                hamiltonian, full_order_levels(hamiltonian, n), cap=cap
-            ).delta
-            delta_greedy = single_step_error(
-                hamiltonian, plan.levels_at_cost(cost), cap=cap
-            ).delta
+            delta_full = _step_error(hamiltonian, full_order_levels(hamiltonian, n), exact, cap)
+            delta_greedy = _step_error(hamiltonian, plan.levels_at_cost(cost), exact, cap)
             delta_ratio = delta_full / delta_greedy if delta_greedy > 0 else float("inf")
 
         rows.append(

@@ -164,6 +164,12 @@ def test_bad_levels_string(ham_file):
     assert main(["bound", "--hamiltonian", str(ham_file), "--levels", "2;1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "resources"])
+@pytest.mark.parametrize("levels", ["0", "0,3", "3,0", "2,0,1", ""])
+def test_degenerate_levels_end_in_a_known_exit_code(ham_file, command, levels):
+    assert main([command, "--hamiltonian", str(ham_file), "--levels", levels]) in (0, 2, 3, 4)
+
+
 def test_unknown_extension_rejected(ham_file, tmp_path):
     assert main(["plan", "--hamiltonian", str(ham_file), "--budget", "1",
                  "--out", str(tmp_path / "plan.xml")]) == 2

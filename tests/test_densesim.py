@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lcutrunc.errors import CapExceeded, ConvergenceError
+from lcutrunc.errors import CapExceeded
 from lcutrunc.densesim import (
     amplification_polynomial,
     amplified_operator,
@@ -14,15 +14,21 @@ from lcutrunc.densesim import (
     hamiltonian_matrix,
     multi_step_error,
     operator_norm,
-    power_iteration_norm,
+    pauli_string_matrix,
     qubit_cap,
     single_step_error,
     truncated_series_operator,
 )
-from lcutrunc.hamiltonian import parse_hamiltonian
+from lcutrunc.hamiltonian import (
+    PHASE_UNITS,
+    HamiltonianTerm,
+    PauliString,
+    SortedHamiltonian,
+    parse_hamiltonian,
+)
 from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan, s_value, t_infinity
 
-from util import matrix_from_raw, random_pauli_hamiltonian
+from util import kron_chain, matrix_from_raw, random_axes, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -46,6 +52,30 @@ def test_hamiltonian_matrix_against_kron_oracle():
         np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)
     )
     assert np.abs(hamiltonian_matrix(ham, 2) - expected).max() <= 1e-12
+
+
+def test_pauli_string_matrix_bit_identical_to_kron_oracle():
+    for qubits in (1, 2, 3):
+        for code in range(4**qubits):
+            axes = "".join("IXYZ"[(code >> (2 * q)) & 3] for q in range(qubits))
+            for phase in PHASE_UNITS:
+                expected = phase * kron_chain(axes)
+                assert np.array_equal(pauli_string_matrix(PauliString(axes, phase)), expected), (axes, phase)
+
+
+def test_hamiltonian_matrix_prefixes_bit_identical_to_kron_oracle():
+    rng = np.random.default_rng(31)
+    ham = SortedHamiltonian.from_terms(
+        HamiltonianTerm(alpha=float(rng.uniform(0.01, 1.0)), op=PauliString(axes, PHASE_UNITS[int(rng.integers(4))]))
+        for axes in random_axes(rng, 4, 24)
+    )
+    for m in range(ham.num_terms + 1):
+        terms = ham.terms[:m]
+        if terms:
+            expected = matrix_from_raw([t.coefficient for t in terms], [t.op.axes for t in terms])
+        else:
+            expected = np.zeros((16, 16), dtype=complex)
+        assert np.array_equal(hamiltonian_matrix(ham, m), expected), m
 
 
 def test_hamiltonian_matrix_folded_phases():
@@ -187,7 +217,6 @@ def test_operator_norm_matches_svd_oracle():
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     expected = float(np.linalg.svd(m, compute_uv=False)[0])
     assert operator_norm(m) == pytest.approx(expected, abs=1e-10)
-    assert power_iteration_norm(m) == pytest.approx(expected, abs=1e-10)
 
 
 def test_power_iteration_path_used_beyond_svd_limit():
@@ -197,15 +226,16 @@ def test_power_iteration_path_used_beyond_svd_limit():
     assert operator_norm(m) == pytest.approx(expected, rel=1e-9)
 
 
-def test_power_iteration_zero_matrix():
-    assert power_iteration_norm(np.zeros((80, 80))) == 0.0
-
-
-def test_power_iteration_iteration_cap():
+def test_operator_norm_near_degenerate_top_singular_values():
+    # top two singular values 1e-7 apart: the gap that made power iteration
+    # slow and biased low at this size
     rng = np.random.default_rng(23)
-    m = rng.normal(size=(70, 70))
-    with pytest.raises(ConvergenceError):
-        power_iteration_norm(m, rtol=0.0, max_iterations=3)
+    u, _ = np.linalg.qr(rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)))
+    v, _ = np.linalg.qr(rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)))
+    singular = np.concatenate(([3.0, 3.0 - 1e-7], np.linspace(2.5, 0.1, 126)))
+    m = (u * singular) @ v.conj().T
+    expected = float(np.linalg.svd(m, compute_uv=False)[0])
+    assert operator_norm(m) == pytest.approx(expected, rel=1e-12)
 
 
 def test_operator_norm_rejects_non_finite():

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian
+from lcutrunc.densesim import single_step_error
+from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian, logspread_hamiltonian
 from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan
 from lcutrunc.report import (
     generate_comparison_report,
@@ -63,6 +64,17 @@ def test_dense_columns_only_when_requested(two_term):
         assert row.delta_full is not None and row.delta_full >= 0.0
         assert row.delta_greedy is not None
         assert row.delta_ratio == pytest.approx(row.delta_full / row.delta_greedy)
+
+
+def test_dense_deltas_equal_single_step_errors():
+    # the rows share one exact evolution; each delta must still be exactly
+    # what a standalone single-step measurement gives
+    ham = logspread_hamiltonian(8, 2, 3, 4)
+    rows = generate_comparison_report(ham, 2, with_dense=True)
+    plan = greedy_plan(ham, budget=2 * ham.num_terms)
+    for row in rows:
+        assert row.delta_full == single_step_error(ham, full_order_levels(ham, row.n)).delta
+        assert row.delta_greedy == single_step_error(ham, plan.levels_at_cost(row.cost)).delta
 
 
 def test_logspread_advantage_is_reported():
