@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .hamiltonian import SortedHamiltonian
-from .planner import TruncationVector, as_levels, s_value, t_infinity
+from .planner import TruncationVector, as_levels, order_weights, s_value, t_infinity
 from .densesim import (
     amplified_operator,
     operator_norm,
@@ -130,26 +130,6 @@ def _unary_index(k: int, kappa: int) -> int:
     return sum(2 ** (kappa - m) for m in range(1, k + 1))
 
 
-def prepare_q_weights(
-    hamiltonian: SortedHamiltonian,
-    levels: "TruncationVector | Sequence[int]",
-    t: float,
-) -> tuple[np.ndarray, float]:
-    """Unnormalized order-register weights t^k/k! prod_j Lambda_j and their sum.
-
-    The sum is the normalization constant of the order register, which must
-    coincide with s(t).
-    """
-    vec = _contiguous_levels(levels)
-    weights = [1.0]
-    running = 1.0
-    for k, count in enumerate(vec.levels, start=1):
-        running *= t * hamiltonian.prefix_lambda(count) / k
-        weights.append(running)
-    array = np.array(weights)
-    return array, float(np.sum(array))
-
-
 def build_prepare(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
@@ -170,7 +150,9 @@ def build_prepare(
             f"ancilla dimension {layout.ancilla_dim} exceeds cap {ancilla_dim_cap}"
         )
 
-    weights, normalization = prepare_q_weights(hamiltonian, vec, t)
+    # the order register's normalization, which must coincide with s(t)
+    weights = order_weights(hamiltonian, vec, t)
+    normalization = float(np.sum(weights))
     q_column = np.zeros(2**layout.kappa, dtype=complex)
     for k, weight in enumerate(weights):
         q_column[_unary_index(k, layout.kappa)] = math.sqrt(weight / normalization)
@@ -308,7 +290,7 @@ def verify_identities(
 
     walk_block = walk[:sys_dim, :sys_dim]
     amplified_block = amplified[:sys_dim, :sys_dim]
-    _, normalization = prepare_q_weights(hamiltonian, vec, t)
+    normalization = float(np.sum(order_weights(hamiltonian, vec, t)))
 
     return IdentityReport(
         levels=vec,

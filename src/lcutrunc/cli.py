@@ -48,7 +48,7 @@ def _resolve_levels(args, hamiltonian: SortedHamiltonian) -> planner.TruncationV
     if sum(given) != 1:
         raise ValueError("specify exactly one of --levels, --order, --budget")
     if args.levels is not None:
-        return planner.TruncationVector.from_levels(_parse_levels(args.levels))
+        return planner.checked_levels(hamiltonian, _parse_levels(args.levels))
     if args.order is not None:
         return planner.full_order_levels(hamiltonian, args.order)
     return planner.greedy_plan(hamiltonian, budget=args.budget).final

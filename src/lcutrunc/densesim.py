@@ -37,6 +37,7 @@ from .planner import (
     TruncationVector,
     as_levels,
     epsilon_bound,
+    order_weights,
     s_value,
     t_infinity,
 )
@@ -154,10 +155,8 @@ def truncated_series_operator(
     fewer terms than the order after it restarts the build.
     """
     _check_cap(hamiltonian.qubit_count, cap)
-    vec = as_levels(levels)
-    counts = vec.levels[: vec.levels.index(0)] if 0 in vec.levels else vec.levels
-    if counts and max(counts) > hamiltonian.num_terms:
-        raise ValueError(f"prefix length {max(counts)} out of range 0..{hamiltonian.num_terms}")
+    live_orders = len(order_weights(hamiltonian, levels, t)) - 1
+    counts = as_levels(levels).levels[:live_orders]
     dim = 2**hamiltonian.qubit_count
     prefix = np.zeros((dim, dim), dtype=complex)
     built = 0

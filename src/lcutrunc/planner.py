@@ -1,15 +1,16 @@
 """Per-order truncation planning for the Taylor-series unitary sum.
 
 The central objects are truncation vectors: for each Taylor order ``k`` a
-count ``L_k`` of retained largest-magnitude Hamiltonian terms.  The ancilla
-normalization
+count ``L_k`` of retained largest-magnitude Hamiltonian terms.  One kernel,
+:func:`order_weights`, gives the order weights
 
-    s(t) = sum_k  t^k / k!  *  prod_{j<=k} Lambda_j,     Lambda_j = prefix sum of L_j weights
+    w_k(t) = t^k / k!  *  prod_{j<=k} Lambda_j,     Lambda_j = prefix sum of L_j weights
 
-controls both the amplification step and the per-step error bound
-``epsilon = 2 - s(t_inf)`` at the step size ``t_inf = ln(2) / Lambda``.
-Because ``Lambda_j = 0`` for an empty order annihilates every later product,
-all sums here are finite and evaluated exactly in double precision.
+up to the first empty order, whose ``Lambda_j = 0`` annihilates every later
+product.  Their sum ``s(t)`` controls both the amplification step and the
+per-step error bound ``epsilon = 2 - s(t_inf)`` at ``t_inf = ln(2) / Lambda``.
+With ``Lambda_k`` counted as 1 their sum from order ``k`` on is
+``ds/dLambda_k``, the exact gain per unit weight added to order ``k``.
 
 The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
@@ -37,11 +38,13 @@ class TruncationVector:
 
     levels: tuple[int, ...]
 
+    def __post_init__(self):
+        if self.levels and min(self.levels) < 0:
+            raise ValueError(f"level counts must be nonnegative, got {list(self.levels)}")
+
     @classmethod
     def from_levels(cls, levels: Iterable[int]) -> "TruncationVector":
         values = [int(v) for v in levels]
-        if any(v < 0 for v in values):
-            raise ValueError(f"level counts must be nonnegative, got {values}")
         while values and values[-1] == 0:
             values.pop()
         return cls(levels=tuple(values))
@@ -105,28 +108,60 @@ def t_infinity(hamiltonian: SortedHamiltonian) -> float:
     return math.log(2.0) / hamiltonian.lambda_total
 
 
+def checked_levels(
+    hamiltonian: SortedHamiltonian, levels: "TruncationVector | Sequence[int]"
+) -> TruncationVector:
+    """``levels`` as a vector; raises if any level, even past an empty order, exceeds the term count."""
+    vec = as_levels(levels)
+    if vec.levels and max(vec.levels) > hamiltonian.num_terms:
+        raise ValueError(f"levels {list(vec.levels)} outside 0..{hamiltonian.num_terms}, the term count")
+    return vec
+
+
+def order_weights(
+    hamiltonian: SortedHamiltonian,
+    levels: "TruncationVector | Sequence[int]",
+    t: float,
+    unit_order: int | None = None,
+) -> list[float]:
+    """Order weights ``[w_0, ..., w_K]``, each ``w_k = w_{k-1} * (t * Lambda_k / k)``.
+
+    ``K`` is the last order before the first empty one.  Order
+    ``unit_order`` counts its ``Lambda`` as 1 and as nonempty, for the
+    derivative of ``s`` in that ``Lambda``.
+    """
+    counts = checked_levels(hamiltonian, levels).levels
+    if unit_order is not None:
+        counts += (0,) * (unit_order - len(counts))
+    weights = [1.0]
+    weight = 1.0
+    prefix = hamiltonian.prefix
+    for k, count in enumerate(counts, start=1):
+        lam = 1.0 if k == unit_order else prefix[count]
+        if lam == 0.0:
+            break
+        weight *= t * lam / k
+        weights.append(weight)
+    return weights
+
+
+def _sum_in_order(values: Sequence[float]) -> float:
+    """Left-to-right float sum (``sum`` compensates from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def s_value(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
 ) -> float:
-    """Normalization constant s(t) for the given truncation vector.
-
-    The sum truncates exactly at the first empty order, since its zero
-    prefix sum annihilates every later product.
-    """
+    """Normalization constant s(t) for the given truncation vector: the sum of its order weights."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    vec = as_levels(levels)
-    total = 1.0
-    term = 1.0
-    for k, count in enumerate(vec.levels, start=1):
-        lam = hamiltonian.prefix_lambda(count)
-        if lam == 0.0:
-            break
-        term *= t * lam / k
-        total += term
-    return total
+    return _sum_in_order(order_weights(hamiltonian, levels, t))
 
 
 def epsilon_bound(
@@ -145,9 +180,9 @@ def insertion_gain(
 ) -> float:
     """Increase of s(t) from adding the next-largest term to order ``k``.
 
-    Evaluates the exact finite sum over all Taylor orders the new term
-    participates in.  Returns 0 when an empty order ahead of ``k``
-    annihilates every contribution.
+    The next term's weight times the order weights from ``k`` on, with
+    ``Lambda_k`` counted as 1.  Adding to the first empty order revives the
+    orders after it; an empty order ahead of ``k`` makes the gain 0.
     """
     if k < 1:
         raise ValueError("order index is 1-based")
@@ -158,25 +193,8 @@ def insertion_gain(
     if t is None:
         t = t_infinity(hamiltonian)
 
-    alpha_next = hamiltonian.terms[count_k].alpha
-
-    # running = t^nu / nu! * prod_{j <= nu, j != k} Lambda_j
-    running = 1.0
-    for j in range(1, k):
-        running *= t * hamiltonian.prefix_lambda(vec.level(j)) / j
-        if running == 0.0:
-            return 0.0
-    running *= t / k
-    total = running
-    nu = k
-    max_order = len(vec.levels)
-    while nu < max_order:
-        nu += 1
-        running *= t * hamiltonian.prefix_lambda(vec.level(nu)) / nu
-        if running == 0.0:
-            break
-        total += running
-    return alpha_next * total
+    weights = order_weights(hamiltonian, vec, t, unit_order=k)
+    return hamiltonian.terms[count_k].alpha * _sum_in_order(weights[k:])
 
 
 def solve_t_root(

@@ -12,12 +12,11 @@ from lcutrunc.circuitmodel import (
     build_walk_operators,
     estimate_resources,
     layout_for,
-    prepare_q_weights,
     verify_identities,
 )
 from lcutrunc.densesim import operator_norm, truncated_series_operator
 from lcutrunc.hamiltonian import parse_hamiltonian
-from lcutrunc.planner import s_value, t_infinity
+from lcutrunc.planner import order_weights, s_value, t_infinity
 
 from util import random_contiguous_levels, random_pauli_hamiltonian
 
@@ -92,7 +91,8 @@ def test_prepare_index_register_amplitudes(two_term):
 
 def test_prepare_normalization_equals_s(two_term):
     t = t_infinity(two_term)
-    weights, normalization = prepare_q_weights(two_term, (2, 1), t)
+    weights = order_weights(two_term, (2, 1), t)
+    normalization = float(np.sum(weights))
     assert normalization == pytest.approx(s_value(two_term, (2, 1), t), abs=1e-12)
     assert normalization == pytest.approx(1.9115349141591278, abs=1e-12)
     assert weights[0] == 1.0 and len(weights) == 3

@@ -170,6 +170,40 @@ def test_degenerate_levels_end_in_a_known_exit_code(ham_file, command, levels):
     assert main([command, "--hamiltonian", str(ham_file), "--levels", levels]) in (0, 2, 3, 4)
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "resources"])
+@pytest.mark.parametrize("levels", ["2,0,5", "3"])
+def test_levels_above_the_term_count_are_input_errors(ham_file, command, levels, capsys):
+    # a level after an empty order is checked too, though no sum reaches it
+    assert main([command, "--hamiltonian", str(ham_file), "--levels", levels]) == 2
+    assert "outside 0..2, the term count" in capsys.readouterr().err
+
+
+def test_plan_outputs_are_pinned_to_exact_bytes(ham_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(ham_file.parent)
+    expected = {
+        "plan.csv": (
+            "step,k,gain,epsilon,cost\n"
+            "1,1,0.6301338005090411,0.3698661994909589,1\n"
+            "2,2,0.19853430327198401,0.17133189621897488,2\n"
+            "3,1,0.0828668103781025,0.08846508584087237,3\n"
+        ),
+        "plan.json": (
+            '{\n  "hamiltonian": "ham.txt",\n  "t": 0.6301338005090411,\n  "steps": [\n'
+            '    {\n      "k": 1,\n      "gain": 0.6301338005090411,\n'
+            '      "epsilon": 0.3698661994909589,\n      "cost": 1\n    },\n'
+            '    {\n      "k": 2,\n      "gain": 0.19853430327198401,\n'
+            '      "epsilon": 0.17133189621897488,\n      "cost": 2\n    },\n'
+            '    {\n      "k": 1,\n      "gain": 0.0828668103781025,\n'
+            '      "epsilon": 0.08846508584087237,\n      "cost": 3\n    }\n  ],\n'
+            '  "final_levels": [\n    2,\n    1\n  ]\n}\n'
+        ),
+    }
+    for filename, text in expected.items():
+        out = tmp_path / filename
+        assert main(["plan", "--hamiltonian", ham_file.name, "--budget", "3", "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode(), filename
+
+
 def test_unknown_extension_rejected(ham_file, tmp_path):
     assert main(["plan", "--hamiltonian", str(ham_file), "--budget", "1",
                  "--out", str(tmp_path / "plan.xml")]) == 2

@@ -219,7 +219,7 @@ def test_operator_norm_matches_svd_oracle():
     assert operator_norm(m) == pytest.approx(expected, abs=1e-10)
 
 
-def test_power_iteration_path_used_beyond_svd_limit():
+def test_operator_norm_matches_svd_at_128():
     rng = np.random.default_rng(21)
     m = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
     expected = float(np.linalg.svd(m, compute_uv=False)[0])

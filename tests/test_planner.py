@@ -158,6 +158,25 @@ def test_gain_matches_s_difference_oracle():
         expected = s_oracle(ham, bumped, t) - s_oracle(ham, levels + [0] * (k - len(levels)), t)
         assert insertion_gain(ham, levels, k, t) == pytest.approx(expected, abs=1e-12)
 
+    # gapped vectors: a term in the first empty order revives the orders
+    # after it, up to the next empty one; a term in any later order adds nothing
+    for levels in ([2, 0, 1], [1, 0, 2, 1], [3, 1, 0, 0, 2]):
+        ham = random_pauli_hamiltonian(rng, 2, 4)
+        t = t_infinity(ham)
+        first_empty = levels.index(0) + 1
+        for k in range(1, len(levels) + 3):
+            padded = levels + [0] * (k - len(levels))
+            bumped = list(padded)
+            bumped[k - 1] += 1
+            expected = s_oracle(ham, bumped, t) - s_oracle(ham, padded, t)
+            gain = insertion_gain(ham, levels, k, t)
+            assert gain == pytest.approx(expected, abs=1e-12)
+            if k == first_empty and levels[k] > 0:
+                without_later_orders = s_oracle(ham, bumped[:k], t) - s_oracle(ham, padded[:k], t)
+                assert gain > without_later_orders + 1e-6
+            if k > first_empty:
+                assert gain == 0.0
+
 
 def test_gain_beyond_first_empty_order_is_zero(two_term):
     assert insertion_gain(two_term, (1,), 3) == 0.0
@@ -169,6 +188,18 @@ def test_gain_errors(two_term):
         insertion_gain(two_term, (2, 1), 1)
     with pytest.raises(ValueError, match="1-based"):
         insertion_gain(two_term, (1,), 0)
+
+
+def test_levels_outside_the_term_range_are_rejected(two_term):
+    # checked even past an empty order, which no sum reaches
+    t = t_infinity(two_term)
+    for levels in ((3,), (2, 0, 5)):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            s_value(two_term, levels, t)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            insertion_gain(two_term, levels, 2, t)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruncationVector(levels=(1, 0, -1))
 
 
 # ---------------------------------------------------------------- greedy
