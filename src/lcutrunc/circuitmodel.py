@@ -10,6 +10,9 @@ submatrix.
 This module verifies operator semantics, not gate decompositions: the
 prepare unitary is any orthonormal completion of its specified first column,
 and resource counts are closed-form estimates.
+
+Dense sizes follow the one qubit cap of ``densesim``: prepare counts the
+ancilla qubits, select and the walk the ancilla and system qubits together.
 """
 
 from __future__ import annotations
@@ -21,20 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded
 from .hamiltonian import SortedHamiltonian
 from .planner import TruncationVector, as_levels, order_weights, s_value, t_infinity
 from .densesim import (
-    amplified_operator,
+    _check_qubits,
+    amplification_polynomial,
     operator_norm,
     pauli_string_matrix,
     truncated_series_operator,
 )
-
-# Ancilla-space cap for dense prepare construction.
-DEFAULT_ANCILLA_DIM_CAP = 2**10
-# Combined ancilla (x) system cap for select and the walk operators.
-DEFAULT_TOTAL_DIM_CAP = 2**12
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,6 @@ def build_prepare(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
-    ancilla_dim_cap: int = DEFAULT_ANCILLA_DIM_CAP,
 ) -> np.ndarray:
     """Dense prepare unitary on the ancilla space.
 
@@ -145,10 +142,7 @@ def build_prepare(
     """
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
-    if layout.ancilla_dim > ancilla_dim_cap:
-        raise CapExceeded(
-            f"ancilla dimension {layout.ancilla_dim} exceeds cap {ancilla_dim_cap}"
-        )
+    _check_qubits(layout.total_ancillas)
 
     # the order register's normalization, which must coincide with s(t)
     weights = order_weights(hamiltonian, vec, t)
@@ -177,7 +171,6 @@ def build_prepare(
 def build_select(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
-    total_dim_cap: int = DEFAULT_TOTAL_DIM_CAP,
 ) -> np.ndarray:
     """Dense select unitary on ancilla (x) system.
 
@@ -189,10 +182,9 @@ def build_select(
     """
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
+    _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
     total_dim = layout.ancilla_dim * sys_dim
-    if total_dim > total_dim_cap:
-        raise CapExceeded(f"total dimension {total_dim} exceeds cap {total_dim_cap}")
 
     applied = [-1j * pauli_string_matrix(term.op) for term in hamiltonian.terms]
     order_of_unary = {_unary_index(k, layout.kappa): k for k in range(layout.kappa + 1)}
@@ -222,18 +214,16 @@ def build_walk_operators(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
-    total_dim_cap: int = DEFAULT_TOTAL_DIM_CAP,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble (W, R, A): the sandwich, the reflection, and one amplified step."""
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
+    _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
     total_dim = layout.ancilla_dim * sys_dim
-    if total_dim > total_dim_cap:
-        raise CapExceeded(f"total dimension {total_dim} exceeds cap {total_dim_cap}")
 
-    prepare = build_prepare(hamiltonian, vec, t, ancilla_dim_cap=total_dim_cap)
-    select = build_select(hamiltonian, vec, total_dim_cap=total_dim_cap)
+    prepare = build_prepare(hamiltonian, vec, t)
+    select = build_select(hamiltonian, vec)
     identity = np.eye(sys_dim, dtype=complex)
     prepare_full = np.kron(prepare, identity)
     walk = prepare_full.conj().T @ select @ prepare_full
@@ -270,27 +260,37 @@ def verify_identities(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float | None = None,
-    total_dim_cap: int = DEFAULT_TOTAL_DIM_CAP,
 ) -> IdentityReport:
     """Check the two block identities of the construction.
 
     The ancilla-zero block of W must equal the truncated sum divided by its
     normalization; the same block of A must equal the amplified operator.
     Both reference operators are built independently by the dense simulator.
+    The normalization is read back from the prepare unitary's corner entry,
+    ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index registers
+    that have qubits, and compared with ``s``.
     """
     vec = _contiguous_levels(levels)
     if t is None:
         t = t_infinity(hamiltonian)
+    layout = layout_for(vec)
+    _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
-    walk, _, amplified = build_walk_operators(hamiltonian, vec, t, total_dim_cap=total_dim_cap)
+    walk, _, amplified = build_walk_operators(hamiltonian, vec, t)
 
     truncated = truncated_series_operator(hamiltonian, vec, t)
     s = s_value(hamiltonian, vec, t)
-    reference_amplified = amplified_operator(hamiltonian, vec, t)
+    reference_amplified = amplification_polynomial(truncated, s)
 
     walk_block = walk[:sys_dim, :sys_dim]
     amplified_block = amplified[:sys_dim, :sys_dim]
-    normalization = float(np.sum(order_weights(hamiltonian, vec, t)))
+    alpha_1 = hamiltonian.terms[0].alpha
+    index_mass = math.prod(
+        alpha_1 / hamiltonian.prefix_lambda(count)
+        for count, width in zip(vec.levels, layout.c_widths)
+        if width > 0
+    )
+    normalization = index_mass / float(abs(build_prepare(hamiltonian, vec, t)[0, 0])) ** 2
 
     return IdentityReport(
         levels=vec,

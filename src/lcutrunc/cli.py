@@ -106,10 +106,10 @@ def _cmd_bound(args) -> int:
 def _cmd_simulate(args) -> int:
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     levels = _resolve_levels(args, hamiltonian)
-    if args.r_max > 1:
-        result = densesim.multi_step_error(hamiltonian, levels, args.r_max)
-    else:
+    if args.r_max == 1:
         result = densesim.single_step_error(hamiltonian, levels)
+    else:
+        result = densesim.multi_step_error(hamiltonian, levels, args.r_max)
     fmt = _format_of(args.out, ("json", "csv"))
     _emit(result.to_json() if fmt == "json" else result.to_csv(), args.out)
     return EXIT_OK
@@ -118,12 +118,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     with_dense = args.dense
-    if with_dense and hamiltonian.qubit_count > densesim.qubit_cap():
-        sys.stderr.write(
-            f"warning: {hamiltonian.qubit_count} qubits exceeds the dense cap of "
-            f"{densesim.qubit_cap()}; reporting bounds only\n"
-        )
-        with_dense = False
+    if with_dense:
+        try:
+            densesim._check_qubits(hamiltonian.qubit_count)
+        except CapExceeded as exc:
+            sys.stderr.write(f"warning: {exc}; reporting bounds only\n")
+            with_dense = False
     rows = report.generate_comparison_report(hamiltonian, args.n_max, with_dense=with_dense)
     fmt = _format_of(args.out, ("csv", "json"))
     _emit(report.serialize_report(rows, fmt).decode(), args.out)

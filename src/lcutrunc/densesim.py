@@ -18,15 +18,18 @@ those of the Kronecker-product construction, at O(2**n) cost per term.
 Operator norms are the largest singular value of a full SVD at every size,
 exact to double precision.
 
-Constructions are capped at a configurable qubit count (default 12, env
-override ``LCUTRUNC_QUBIT_CAP``) to keep dense norms tractable at desk scale.
+This module holds the one dense-size policy of the package: every dense
+construction, here and in ``circuitmodel``, raises ``CapExceeded`` before it
+allocates a space of more qubits than ``qubit_cap()`` (default 12, env
+override ``LCUTRUNC_QUBIT_CAP``), which keeps dense norms tractable at desk
+scale.  The circuit model's space counts its ancillas and the system qubits.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,8 +62,9 @@ def qubit_cap() -> int:
         raise ValueError(f"{QUBIT_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def _check_cap(qubit_count: int, cap: int | None) -> None:
-    limit = qubit_cap() if cap is None else cap
+def _check_qubits(qubit_count: int) -> None:
+    """Raise ``CapExceeded`` if a dense space of ``qubit_count`` qubits is over the cap."""
+    limit = qubit_cap()
     if qubit_count > limit:
         raise CapExceeded(f"{qubit_count} qubits exceeds the dense cap of {limit}")
 
@@ -97,11 +101,9 @@ def pauli_string_matrix(op: PauliString) -> np.ndarray:
     return matrix
 
 
-def hamiltonian_matrix(
-    hamiltonian: SortedHamiltonian, m: int | None = None, cap: int | None = None
-) -> np.ndarray:
+def hamiltonian_matrix(hamiltonian: SortedHamiltonian, m: int | None = None) -> np.ndarray:
     """Sum of the ``m`` largest terms as a dense matrix (all terms if omitted)."""
-    _check_cap(hamiltonian.qubit_count, cap)
+    _check_qubits(hamiltonian.qubit_count)
     if m is None:
         m = hamiltonian.num_terms
     if not 0 <= m <= hamiltonian.num_terms:
@@ -112,13 +114,13 @@ def hamiltonian_matrix(
     return total
 
 
-def _spectrum(hamiltonian: SortedHamiltonian, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum(hamiltonian: SortedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the full Hamiltonian matrix.
 
     Raises if the assembled matrix is not Hermitian (possible when folded
     phases of +-i make individual terms anti-Hermitian).
     """
-    matrix = hamiltonian_matrix(hamiltonian, cap=cap)
+    matrix = hamiltonian_matrix(hamiltonian)
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
         raise ValueError("Hamiltonian matrix is not Hermitian; cannot exponentiate by eigendecomposition")
@@ -130,11 +132,9 @@ def _unitary(eigenvectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (eigenvectors * phases) @ eigenvectors.conj().T
 
 
-def exact_evolution(
-    hamiltonian: SortedHamiltonian, t: float, cap: int | None = None
-) -> np.ndarray:
+def exact_evolution(hamiltonian: SortedHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) by Hermitian eigendecomposition; raises if H is not Hermitian."""
-    eigenvalues, eigenvectors = _spectrum(hamiltonian, cap)
+    eigenvalues, eigenvectors = _spectrum(hamiltonian)
     return _unitary(eigenvectors, np.exp(-1j * t * eigenvalues))
 
 
@@ -142,7 +142,6 @@ def truncated_series_operator(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
-    cap: int | None = None,
 ) -> np.ndarray:
     """The per-order truncated Taylor sum as a dense matrix.
 
@@ -154,7 +153,7 @@ def truncated_series_operator(
     usual shape of greedy plans, the terms are visited once; an order with
     fewer terms than the order after it restarts the build.
     """
-    _check_cap(hamiltonian.qubit_count, cap)
+    _check_qubits(hamiltonian.qubit_count)
     live_orders = len(order_weights(hamiltonian, levels, t)) - 1
     counts = as_levels(levels).levels[:live_orders]
     dim = 2**hamiltonian.qubit_count
@@ -182,11 +181,10 @@ def amplified_operator(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
-    cap: int | None = None,
 ) -> np.ndarray:
     """Operator effectively applied after one oblivious amplification step."""
     vec = as_levels(levels)
-    truncated = truncated_series_operator(hamiltonian, vec, t, cap=cap)
+    truncated = truncated_series_operator(hamiltonian, vec, t)
     s = s_value(hamiltonian, vec, t)
     return amplification_polynomial(truncated, s)
 
@@ -233,35 +231,26 @@ class ErrorReport:
         return "\n".join(lines) + "\n"
 
 
-def _step_error(
-    hamiltonian: SortedHamiltonian, vec: TruncationVector, exact: np.ndarray, cap: int | None
-) -> float:
+def _step_error(hamiltonian: SortedHamiltonian, vec: TruncationVector, exact: np.ndarray) -> float:
     """||exact - amplified(t_inf)|| for one truncation vector, given exp(-iH t_inf)."""
-    amplified = amplified_operator(hamiltonian, vec, t_infinity(hamiltonian), cap=cap)
+    amplified = amplified_operator(hamiltonian, vec, t_infinity(hamiltonian))
     return operator_norm(exact - amplified)
 
 
 def single_step_error(
-    hamiltonian: SortedHamiltonian,
-    levels: "TruncationVector | Sequence[int]",
-    cap: int | None = None,
+    hamiltonian: SortedHamiltonian, levels: "TruncationVector | Sequence[int]"
 ) -> ErrorReport:
-    """Measured ||U(t_inf) - amplified(t_inf)|| alongside the analytic bound."""
-    vec = as_levels(levels)
-    exact = exact_evolution(hamiltonian, t_infinity(hamiltonian), cap=cap)
-    return ErrorReport(
-        levels=vec,
-        cost=vec.cost,
-        epsilon=epsilon_bound(hamiltonian, vec),
-        delta=_step_error(hamiltonian, vec, exact, cap),
-    )
+    """Measured ||U(t_inf) - amplified(t_inf)|| alongside the analytic bound.
+
+    The ``r_max = 1`` case of ``multi_step_error``, reported with empty ``r_steps``.
+    """
+    return replace(multi_step_error(hamiltonian, levels, 1), r_steps=())
 
 
 def multi_step_error(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     r_max: int,
-    cap: int | None = None,
 ) -> ErrorReport:
     """Measured ||U^r - amplified^r|| for r = 1..r_max.
 
@@ -272,9 +261,9 @@ def multi_step_error(
         raise ValueError("r_max must be at least 1")
     vec = as_levels(levels)
     t = t_infinity(hamiltonian)
-    eigenvalues, eigenvectors = _spectrum(hamiltonian, cap)
+    eigenvalues, eigenvectors = _spectrum(hamiltonian)
     step_phases = np.exp(-1j * t * eigenvalues)
-    amplified = amplified_operator(hamiltonian, vec, t, cap=cap)
+    amplified = amplified_operator(hamiltonian, vec, t)
     phases, amplified_power = step_phases, amplified
     r_steps = []
     for r in range(1, r_max + 1):

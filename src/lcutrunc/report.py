@@ -49,7 +49,6 @@ def generate_comparison_report(
     hamiltonian: SortedHamiltonian,
     n_max: int,
     with_dense: bool = False,
-    cap: int | None = None,
 ) -> list[ComparisonRow]:
     """One row per full-expansion order n = 1..n_max at equal cost n*L.
 
@@ -72,7 +71,7 @@ def generate_comparison_report(
         eps_at_cost.append(epsilon_bound(hamiltonian, prefix_vector))
 
     # one eigendecomposition serves every dense row
-    exact = exact_evolution(hamiltonian, t_infinity(hamiltonian), cap=cap) if with_dense else None
+    exact = exact_evolution(hamiltonian, t_infinity(hamiltonian)) if with_dense else None
 
     rows = []
     match_cost = 0
@@ -89,8 +88,8 @@ def generate_comparison_report(
 
         delta_full = delta_greedy = delta_ratio = None
         if with_dense:
-            delta_full = _step_error(hamiltonian, full_order_levels(hamiltonian, n), exact, cap)
-            delta_greedy = _step_error(hamiltonian, plan.levels_at_cost(cost), exact, cap)
+            delta_full = _step_error(hamiltonian, full_order_levels(hamiltonian, n), exact)
+            delta_greedy = _step_error(hamiltonian, plan.levels_at_cost(cost), exact)
             delta_ratio = delta_full / delta_greedy if delta_greedy > 0 else float("inf")
 
         rows.append(

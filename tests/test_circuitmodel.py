@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lcutrunc import circuitmodel
 from lcutrunc.errors import CapExceeded
 from lcutrunc.circuitmodel import (
     build_prepare,
@@ -108,9 +109,10 @@ def test_prepare_is_unitary_on_random_instances():
         assert np.abs(prepare.conj().T @ prepare - np.eye(dim)).max() <= 1e-12
 
 
-def test_prepare_dimension_cap(two_term):
+def test_prepare_dimension_cap(two_term, monkeypatch):
+    monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", "3")
     with pytest.raises(CapExceeded):
-        build_prepare(two_term, (2, 2), t_infinity(two_term), ancilla_dim_cap=8)
+        build_prepare(two_term, (2, 2), t_infinity(two_term))
 
 
 # ------------------------------------------------------------- select
@@ -205,9 +207,25 @@ def test_walk_block_amplitude_accounting(two_term):
         assert np.abs(out[:4] - truncated @ psi / s).max() <= 1e-12
 
 
-def test_walk_operators_dimension_cap(two_term):
+def test_walk_operators_dimension_cap(two_term, monkeypatch):
+    monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", "4")
     with pytest.raises(CapExceeded):
-        build_walk_operators(two_term, (2, 1), 0.5, total_dim_cap=16)
+        build_walk_operators(two_term, (2, 1), 0.5)
+
+
+def test_walk_and_identities_check_the_cap_before_building(monkeypatch):
+    ham = parse_hamiltonian("1.0 ZZZ\n0.5 XIX")
+    monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", "2")
+
+    def never(*args, **kwargs):
+        raise AssertionError("dense matrix built over the cap")
+
+    for name in ("build_prepare", "build_select", "truncated_series_operator"):
+        monkeypatch.setattr(circuitmodel, name, never)
+    with pytest.raises(CapExceeded):
+        build_walk_operators(ham, (2, 1), 0.5)
+    with pytest.raises(CapExceeded):
+        verify_identities(ham, (2, 1))
 
 
 # ------------------------------------------------------------- identities
@@ -225,6 +243,29 @@ def test_identities_two_term(two_term):
     assert report.walk_block_residual <= 1e-10
     assert report.amplified_block_residual <= 1e-10
     assert report.normalization_error <= 1e-12
+
+
+def test_normalization_error_reads_the_prepare_unitary(two_term, monkeypatch):
+    t = t_infinity(two_term)
+    s = s_value(two_term, (2, 1), t)
+
+    def scaled(factor, lowest_order):
+        def weights(*args):
+            return [w * (factor if k >= lowest_order else 1.0) for k, w in enumerate(order_weights(*args))]
+
+        return weights
+
+    # scaling every weight leaves the prepare unitary, so the circuit, unchanged
+    monkeypatch.setattr(circuitmodel, "order_weights", scaled(3.0, 0))
+    report = verify_identities(two_term, (2, 1), t)
+    assert report.normalization_error <= 1e-12
+    assert report.walk_block_residual <= 1e-10
+
+    # scaling orders 1 and 2 encodes N = 1 + 1.5 (s - 1) in the prepare column
+    monkeypatch.setattr(circuitmodel, "order_weights", scaled(1.5, 1))
+    report = verify_identities(two_term, (2, 1), t)
+    assert report.normalization_error == pytest.approx(0.5 * (s - 1.0), rel=1e-12)
+    assert report.walk_block_residual > 1e-3
 
 
 def test_identities_reject_empty_vector(two_term):

@@ -62,6 +62,7 @@ def test_simulate_single_step(ham_file, tmp_path):
     assert main(["simulate", "--hamiltonian", str(ham_file), "--levels", "2,1", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["delta"] <= payload["epsilon"] + 2 * payload["epsilon"] ** 2
+    assert payload["r_steps"] == []
 
 
 def test_simulate_multi_step_csv(ham_file, tmp_path):
@@ -72,6 +73,12 @@ def test_simulate_multi_step_csv(ham_file, tmp_path):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("r_max", ["0", "-3"])
+def test_simulate_rejects_r_max_below_one(ham_file, r_max, capsys):
+    assert main(["simulate", "--hamiltonian", str(ham_file), "--levels", "1", "--r-max", r_max]) == 2
+    assert "r_max must be at least 1" in capsys.readouterr().err
 
 
 def test_simulate_cap_exit_code(tmp_path, monkeypatch):

@@ -86,9 +86,9 @@ def test_hamiltonian_matrix_folded_phases():
 
 def test_qubit_cap_enforced(monkeypatch):
     ham = parse_hamiltonian("1.0 ZZZ")
-    with pytest.raises(CapExceeded):
-        hamiltonian_matrix(ham, cap=2)
     monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", "2")
+    with pytest.raises(CapExceeded):
+        hamiltonian_matrix(ham)
     assert qubit_cap() == 2
     with pytest.raises(CapExceeded):
         exact_evolution(ham, 0.1)
