@@ -210,12 +210,47 @@ def build_select(
     return select
 
 
+def _walk_apply(
+    prepare: np.ndarray, select: np.ndarray, block: np.ndarray, adjoint: bool = False
+) -> np.ndarray:
+    """``W @ block``, or ``W† @ block``, for ``W = (P†⊗I)·S·(P⊗I)``, never forming W.
+
+    ``P⊗I`` acts on the ancilla index by a reshape, and ``S†`` is applied as
+    ``(block† S)†``, so no product has two ancilla⊗system-sized factors
+    unless the block itself is that size.
+    """
+    shape = block.shape
+
+    def on_ancilla(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return (matrix @ rows.reshape(matrix.shape[1], -1)).reshape(shape)
+
+    lifted = on_ancilla(prepare, block)
+    selected = (lifted.conj().T @ select).conj().T if adjoint else select @ lifted
+    return on_ancilla(prepare.conj().T, selected)
+
+
+def _amplify(
+    prepare: np.ndarray, select: np.ndarray, walk_columns: np.ndarray, sys_dim: int
+) -> np.ndarray:
+    """``−W·R·W†·R`` applied to columns of W; R flips the sign of rows past ``sys_dim``."""
+    reflected = walk_columns.copy()
+    reflected[sys_dim:] *= -1
+    back = _walk_apply(prepare, select, reflected, adjoint=True)
+    back[sys_dim:] *= -1
+    return -_walk_apply(prepare, select, back)
+
+
 def build_walk_operators(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (W, R, A): the sandwich, the reflection, and one amplified step."""
+    """Assemble (W, R, A): the sandwich, the reflection, and one amplified step.
+
+    All three are dense on ancilla ⊗ system, so this costs O(d³) in the total
+    dimension d; ``verify_identities`` needs only their ancilla-zero columns
+    and does not call it.
+    """
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
@@ -224,16 +259,13 @@ def build_walk_operators(
 
     prepare = build_prepare(hamiltonian, vec, t)
     select = build_select(hamiltonian, vec)
-    identity = np.eye(sys_dim, dtype=complex)
-    prepare_full = np.kron(prepare, identity)
-    walk = prepare_full.conj().T @ select @ prepare_full
+    walk = _walk_apply(prepare, select, np.eye(total_dim, dtype=complex))
 
     diagonal = -np.ones(total_dim)
     diagonal[:sys_dim] = 1.0
     reflection = np.diag(diagonal).astype(complex)
 
-    amplified = -walk @ reflection @ walk.conj().T @ reflection @ walk
-    return walk, reflection, amplified
+    return walk, reflection, _amplify(prepare, select, walk, sys_dim)
 
 
 @dataclass(frozen=True)
@@ -266,9 +298,12 @@ def verify_identities(
     The ancilla-zero block of W must equal the truncated sum divided by its
     normalization; the same block of A must equal the amplified operator.
     Both reference operators are built independently by the dense simulator.
-    The normalization is read back from the prepare unitary's corner entry,
-    ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index registers
-    that have qubits, and compared with ``s``.
+    Only the ancilla-zero columns of W and A are formed, by thin products
+    with the prepare and select matrices, at O(d²·2^n) cost for total
+    dimension d and n system qubits rather than the O(d³) of forming W and A.
+    The normalization is read back from the same prepare unitary's corner
+    entry, ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index
+    registers that have qubits, and compared with ``s``.
     """
     vec = _contiguous_levels(levels)
     if t is None:
@@ -276,26 +311,27 @@ def verify_identities(
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
-    walk, _, amplified = build_walk_operators(hamiltonian, vec, t)
+    prepare = build_prepare(hamiltonian, vec, t)
+    select = build_select(hamiltonian, vec)
+    walk_columns = _walk_apply(prepare, select, np.eye(select.shape[0], sys_dim, dtype=complex))
+    amplified_columns = _amplify(prepare, select, walk_columns, sys_dim)
 
     truncated = truncated_series_operator(hamiltonian, vec, t)
     s = s_value(hamiltonian, vec, t)
     reference_amplified = amplification_polynomial(truncated, s)
 
-    walk_block = walk[:sys_dim, :sys_dim]
-    amplified_block = amplified[:sys_dim, :sys_dim]
     alpha_1 = hamiltonian.terms[0].alpha
     index_mass = math.prod(
         alpha_1 / hamiltonian.prefix_lambda(count)
         for count, width in zip(vec.levels, layout.c_widths)
         if width > 0
     )
-    normalization = index_mass / float(abs(build_prepare(hamiltonian, vec, t)[0, 0])) ** 2
+    normalization = index_mass / float(abs(prepare[0, 0])) ** 2
 
     return IdentityReport(
         levels=vec,
         t=t,
-        walk_block_residual=operator_norm(walk_block - truncated / s),
-        amplified_block_residual=operator_norm(amplified_block - reference_amplified),
+        walk_block_residual=operator_norm(walk_columns[:sys_dim] - truncated / s),
+        amplified_block_residual=operator_norm(amplified_columns[:sys_dim] - reference_amplified),
         normalization_error=abs(normalization - s),
     )

@@ -73,6 +73,8 @@ class TruncationVector:
 
     def bump(self, k: int) -> "TruncationVector":
         """Return a copy with order ``k`` incremented by one."""
+        if k < 1:
+            raise ValueError("order index is 1-based")
         values = list(self.levels) + [0] * max(0, k - len(self.levels))
         values[k - 1] += 1
         return TruncationVector(levels=tuple(values))
@@ -282,7 +284,6 @@ def greedy_plan(
     hamiltonian: SortedHamiltonian,
     budget: int | None = None,
     target_epsilon: float | None = None,
-    cost_cap_factor: int | None = None,
 ) -> PlanTrace:
     """Greedily grow a truncation vector from empty, one term at a time.
 
@@ -292,7 +293,7 @@ def greedy_plan(
     must be given.
 
     Raises :class:`ConvergenceError` if ``target_epsilon`` is still
-    unreached at the hard cost cap ``cost_cap_factor * num_terms``.
+    unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -300,12 +301,10 @@ def greedy_plan(
         raise ValueError("budget must be at least 1")
     if target_epsilon is not None and not 0.0 < target_epsilon < 1.0:
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
-    if cost_cap_factor is None:
-        cost_cap_factor = DEFAULT_COST_CAP_FACTOR
 
     t = t_infinity(hamiltonian)
     num_terms = hamiltonian.num_terms
-    cost_cap = budget if budget is not None else cost_cap_factor * num_terms
+    cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
 
     counts: list[int] = []
     epsilon = 1.0

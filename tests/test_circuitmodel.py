@@ -15,11 +15,11 @@ from lcutrunc.circuitmodel import (
     layout_for,
     verify_identities,
 )
-from lcutrunc.densesim import operator_norm, truncated_series_operator
+from lcutrunc.densesim import amplification_polynomial, operator_norm, truncated_series_operator
 from lcutrunc.hamiltonian import parse_hamiltonian
 from lcutrunc.planner import order_weights, s_value, t_infinity
 
-from util import random_contiguous_levels, random_pauli_hamiltonian
+from util import dense_walk_oracle, random_contiguous_levels, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -288,6 +288,60 @@ def test_identities_random_small_instances():
         assert report.amplified_block_residual <= 1e-10
         assert report.normalization_error <= 1e-12
         checked += 1
+
+
+def _oracle_instance(case):
+    if case == "dim1024":
+        # the circuit-walk benchmark's first size: 2**7 ancilla x 2**3 system
+        return random_pauli_hamiltonian(np.random.default_rng(17), 3, 16), (8, 2, 1)
+    rng = np.random.default_rng(case)
+    while True:
+        qubits = int(rng.integers(1, 3))
+        ham = random_pauli_hamiltonian(rng, qubits, int(rng.integers(2, 5)))
+        levels = random_contiguous_levels(rng, ham.num_terms, 3)
+        if layout_for(levels).ancilla_dim * 2**qubits <= 2**8:
+            return ham, levels
+
+
+@pytest.mark.parametrize("case", [31, 32, 33, 34, "dim1024"])
+def test_thin_walk_products_match_the_dense_oracle(case):
+    ham, levels = _oracle_instance(case)
+    t = t_infinity(ham)
+    sys_dim = 2**ham.qubit_count
+    walk, reflection, amplified = dense_walk_oracle(
+        build_prepare(ham, levels, t), build_select(ham, levels), sys_dim
+    )
+    truncated = truncated_series_operator(ham, levels, t)
+    s = s_value(ham, levels, t)
+    walk_residual = np.linalg.norm(walk[:sys_dim, :sys_dim] - truncated / s, 2)
+    amplified_residual = np.linalg.norm(
+        amplified[:sys_dim, :sys_dim] - amplification_polynomial(truncated, s), 2
+    )
+
+    report = verify_identities(ham, levels, t)
+    assert report.walk_block_residual == pytest.approx(walk_residual, abs=1e-14)
+    assert report.amplified_block_residual == pytest.approx(amplified_residual, abs=1e-14)
+    for built, oracle in zip(build_walk_operators(ham, levels, t), (walk, reflection, amplified)):
+        assert np.abs(built - oracle).max() <= 1e-12
+
+
+def test_identities_form_only_the_ancilla_zero_columns(two_term, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("verify_identities formed the full walk")
+
+    prepares = []
+
+    def counted_prepare(*args, **kwargs):
+        prepares.append(args)
+        return build_prepare(*args, **kwargs)
+
+    monkeypatch.setattr(circuitmodel, "build_walk_operators", never)
+    monkeypatch.setattr(circuitmodel, "build_prepare", counted_prepare)
+    report = verify_identities(two_term, (2, 1))
+    assert report.walk_block_residual <= 1e-10
+    assert report.amplified_block_residual <= 1e-10
+    assert report.normalization_error <= 1e-12
+    assert len(prepares) == 1
 
 
 def test_identity_report_csv(two_term):

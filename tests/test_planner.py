@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from lcutrunc import planner
 from lcutrunc.errors import ConvergenceError
 from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian, parse_hamiltonian
 from lcutrunc.planner import (
@@ -67,6 +68,13 @@ def test_truncation_vector_normalization():
     assert TruncationVector.from_levels([2, 0, 1]).kappa == 2
     with pytest.raises(ValueError):
         TruncationVector.from_levels([-1])
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_bump_rejects_order_below_one(k):
+    with pytest.raises(ValueError, match="1-based"):
+        TruncationVector((2, 1)).bump(k)
+    assert TruncationVector((2, 1)).bump(3).levels == (2, 1, 1)
 
 
 def test_cost_of():
@@ -254,9 +262,10 @@ def test_greedy_target_epsilon_stops_at_threshold(two_term):
     assert trace.steps[-2].epsilon_after > 0.1
 
 
-def test_greedy_target_epsilon_cap_error(two_term):
+def test_greedy_target_epsilon_cap_error(two_term, monkeypatch):
+    monkeypatch.setattr(planner, "DEFAULT_COST_CAP_FACTOR", 2)
     with pytest.raises(ConvergenceError, match="cost cap"):
-        greedy_plan(two_term, target_epsilon=1e-9, cost_cap_factor=2)
+        greedy_plan(two_term, target_epsilon=1e-9)
 
 
 def test_greedy_argument_validation(two_term):

@@ -8,9 +8,6 @@ import lcutrunc
 
 SRC = Path(lcutrunc.__file__).resolve().parent
 
-# bounds the greedy planner's cost for a target epsilon, not a dense size
-NOT_A_SIZE_CAP = {"greedy_plan": {"cost_cap_factor"}}
-
 
 def _public_callables():
     for name in lcutrunc.__all__:
@@ -29,11 +26,7 @@ def test_no_public_callable_takes_a_cap_parameter():
             parameters = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        found += [
-            f"{name}({parameter})"
-            for parameter in parameters
-            if "cap" in parameter.lower() and parameter not in NOT_A_SIZE_CAP.get(name, ())
-        ]
+        found += [f"{name}({parameter})" for parameter in parameters if "cap" in parameter.lower()]
     assert found == []
 
 

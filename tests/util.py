@@ -70,3 +70,19 @@ def random_contiguous_levels(
     """Truncation vector with no empty order before a populated one."""
     orders = int(rng.integers(1, max_orders + 1))
     return tuple(int(rng.integers(1, num_terms + 1)) for _ in range(orders))
+
+
+def dense_walk_oracle(prepare: np.ndarray, select: np.ndarray, sys_dim: int):
+    """(W, R, A) formed in full from the package's prepare and select matrices.
+
+    ``W = (P⊗I)†·S·(P⊗I)`` with an explicit Kronecker product, ``R`` the
+    explicit diagonal reflection about the ancilla-zero subspace, and
+    ``A = −W·R·W†·R·W``; every product is a dense matrix product.
+    """
+    prepare_full = np.kron(prepare, np.eye(sys_dim, dtype=complex))
+    walk = prepare_full.conj().T @ select @ prepare_full
+    signs = -np.ones(walk.shape[0])
+    signs[:sys_dim] = 1.0
+    reflection = np.diag(signs).astype(complex)
+    amplified = -walk @ reflection @ walk.conj().T @ reflection @ walk
+    return walk, reflection, amplified
