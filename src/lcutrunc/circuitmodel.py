@@ -5,7 +5,8 @@ Taylor order, unary-coded) and per-order index registers ``c_k`` (binary,
 ``ceil(log2 L_k)`` qubits).  The registers are modeled as integer-indexed
 tensor factors ordered ``q, c_1, ..., c_kappa, system``, so the block of an
 operator between ancilla-zero states is simply its top-left system-sized
-submatrix.
+submatrix.  The select is block diagonal over ancilla basis states and is
+kept as its stack of system-sized diagonal blocks, never as a full matrix.
 
 This module verifies operator semantics, not gate decompositions: the
 prepare unitary is any orthonormal completion of its specified first column,
@@ -172,32 +173,31 @@ def build_select(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
 ) -> np.ndarray:
-    """Dense select unitary on ancilla (x) system.
+    """Select unitary on ancilla (x) system, as its stacked diagonal blocks.
 
-    Block diagonal over ancilla basis states: for order k (unary) and
-    indices l_1..l_k it applies (-i h_{l_1}) ... (-i h_{l_k}) to the system,
-    leaving registers beyond order k inert.  Ancilla states outside the
-    coded range act as identity, which keeps the operator unitary without
-    affecting the verified block.
+    For order k (unary) and indices l_1..l_k the block applies
+    (-i h_{l_1}) ... (-i h_{l_k}) to the system, leaving registers beyond
+    order k inert.  Ancilla states outside the coded range act as identity,
+    which keeps the operator unitary without affecting the verified block.
+    Rows ``a * 2^n`` to ``(a + 1) * 2^n`` of the ``(d, 2^n)`` result hold the
+    block of ancilla state ``a``, for total dimension d and n system qubits.
     """
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
-    total_dim = layout.ancilla_dim * sys_dim
 
     applied = [-1j * pauli_string_matrix(term.op) for term in hamiltonian.terms]
     order_of_unary = {_unary_index(k, layout.kappa): k for k in range(layout.kappa + 1)}
     c_dims = [2**width for width in layout.c_widths]
 
-    select = np.zeros((total_dim, total_dim), dtype=complex)
+    blocks = np.empty((layout.ancilla_dim, sys_dim, sys_dim), dtype=complex)
     for ancilla in range(layout.ancilla_dim):
         remainder = ancilla
         indices = []
         for dim in reversed(c_dims):
-            indices.append(remainder % dim)
-            remainder //= dim
-        indices.reverse()
+            remainder, index = divmod(remainder, dim)
+            indices.insert(0, index)
         order = order_of_unary.get(remainder)
 
         block = np.eye(sys_dim, dtype=complex)
@@ -205,27 +205,24 @@ def build_select(
             for m in range(order):
                 if indices[m] < vec.levels[m]:
                     block = block @ applied[indices[m]]
-        start = ancilla * sys_dim
-        select[start : start + sys_dim, start : start + sys_dim] = block
-    return select
+        blocks[ancilla] = block
+    return blocks.reshape(-1, sys_dim)
 
 
-def _walk_apply(
-    prepare: np.ndarray, select: np.ndarray, block: np.ndarray, adjoint: bool = False
-) -> np.ndarray:
-    """``W @ block``, or ``W† @ block``, for ``W = (P†⊗I)·S·(P⊗I)``, never forming W.
+def _walk_apply(prepare: np.ndarray, select: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``W @ block`` for ``W = (P†⊗I)·S·(P⊗I)``, never forming W or a d×d S.
 
-    ``P⊗I`` acts on the ancilla index by a reshape, and ``S†`` is applied as
-    ``(block† S)†``, so no product has two ancilla⊗system-sized factors
-    unless the block itself is that size.
+    ``P⊗I`` acts on the ancilla index by a reshape, and ``S`` (stacked as
+    :func:`build_select` returns it) block by block in one batched product.
     """
     shape = block.shape
+    ancilla_dim, sys_dim = prepare.shape[0], select.shape[1]
 
     def on_ancilla(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return (matrix @ rows.reshape(matrix.shape[1], -1)).reshape(shape)
+        return (matrix @ rows.reshape(ancilla_dim, -1)).reshape(shape)
 
-    lifted = on_ancilla(prepare, block)
-    selected = (lifted.conj().T @ select).conj().T if adjoint else select @ lifted
+    lifted = on_ancilla(prepare, block).reshape(ancilla_dim, sys_dim, -1)
+    selected = np.matmul(select.reshape(ancilla_dim, sys_dim, sys_dim), lifted)
     return on_ancilla(prepare.conj().T, selected)
 
 
@@ -233,9 +230,10 @@ def _amplify(
     prepare: np.ndarray, select: np.ndarray, walk_columns: np.ndarray, sys_dim: int
 ) -> np.ndarray:
     """``−W·R·W†·R`` applied to columns of W; R flips the sign of rows past ``sys_dim``."""
+    adjoint = select.reshape(-1, sys_dim, sys_dim).conj().transpose(0, 2, 1).reshape(select.shape)
     reflected = walk_columns.copy()
     reflected[sys_dim:] *= -1
-    back = _walk_apply(prepare, select, reflected, adjoint=True)
+    back = _walk_apply(prepare, adjoint, reflected)
     back[sys_dim:] *= -1
     return -_walk_apply(prepare, select, back)
 
@@ -299,8 +297,9 @@ def verify_identities(
     normalization; the same block of A must equal the amplified operator.
     Both reference operators are built independently by the dense simulator.
     Only the ancilla-zero columns of W and A are formed, by thin products
-    with the prepare and select matrices, at O(d²·2^n) cost for total
-    dimension d and n system qubits rather than the O(d³) of forming W and A.
+    with the prepare matrix and the select's diagonal blocks.  For total
+    dimension d, A ancilla and n system qubits that costs O(d·2^n·(2^A + 2^n))
+    rather than the O(d³) of forming W and A, and no d×d array is held.
     The normalization is read back from the same prepare unitary's corner
     entry, ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index
     registers that have qubits, and compared with ``s``.

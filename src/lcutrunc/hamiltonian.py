@@ -14,7 +14,8 @@ Term-list text format (the only ingestion path)::
     0.5i     YIII      # pure-imaginary coefficients allowed
 
 One term per line: a real or pure-imaginary coefficient (``a``, ``-a``,
-``ai``, ``-ai``; ``j`` also accepted), then a string over ``IXYZ``.
+``ai``, ``-ai``; ``j`` also accepted), then a string over ``IXYZ``.  Lines
+that repeat a string are merged into one term.
 """
 
 from __future__ import annotations
@@ -151,16 +152,20 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
     """Parse the term-list format into a :class:`SortedHamiltonian`.
 
     Coefficients are normalized to positive magnitudes with the unit phase
-    folded into the Pauli string.  Terms with magnitude below
-    ``DROP_THRESHOLD`` are dropped with a warning.  Raises
-    :class:`TermListError` with a line number on malformed input.
+    folded into the Pauli string.  Lines that repeat a string are merged in
+    order of first appearance by summing their coefficients, with one
+    warning.  Terms and sums with magnitude below ``DROP_THRESHOLD`` are
+    dropped with a warning.  Raises :class:`TermListError` with a line
+    number on malformed input, or naming the string when a sum is neither
+    real nor pure-imaginary.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = source.read().splitlines()
 
-    terms: list[HamiltonianTerm] = []
+    terms: dict[str, HamiltonianTerm] = {}
+    sums: dict[str, complex] = {}  # coefficient sums of the repeated strings only
     dropped = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -181,13 +186,29 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
             op = PauliString(axes=axes, phase=phase)
         except ValueError as exc:
             raise TermListError(f"line {lineno}: {exc}") from None
-        terms.append(HamiltonianTerm(alpha=alpha, op=op))
+        if axes in terms:
+            sums[axes] = sums.get(axes, terms[axes].coefficient) + phase * alpha
+        else:
+            terms[axes] = HamiltonianTerm(alpha=alpha, op=op)
 
+    for axes, coefficient in sums.items():
+        if abs(coefficient) < DROP_THRESHOLD:
+            dropped += 1
+            del terms[axes]
+            continue
+        try:
+            alpha, phase = _fold_phase(coefficient)
+        except ValueError as exc:
+            raise TermListError(f"Pauli string {axes}: {exc}") from None
+        terms[axes] = HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase))
+
+    if sums:
+        warnings.warn(f"merged repeated lines of {len(sums)} Pauli string(s) by summing their coefficients")
     if dropped:
         warnings.warn(f"dropped {dropped} term(s) with |coefficient| < {DROP_THRESHOLD}")
     if not terms:
         raise TermListError("no usable terms found in input")
-    return SortedHamiltonian.from_terms(terms, label=label)
+    return SortedHamiltonian.from_terms(terms.values(), label=label)
 
 
 def format_term_list(hamiltonian: SortedHamiltonian) -> str:

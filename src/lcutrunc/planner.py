@@ -202,30 +202,26 @@ def insertion_gain(
 def solve_t_root(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
-    tol: float = 1e-12,
-    max_iterations: int = 200,
 ) -> float:
-    """Step size at which s(t) = 2 exactly, by bracketing and bisection.
+    """Step size at which s(t) = 2, by bracketing and bisection to adjacent floats.
 
     s is a polynomial in t with positive coefficients, increasing from 1 at
     t = 0, so the root is unique.  ``s(1/Lambda_1) >= 2`` always brackets it.
-    An empty first order (including the empty vector) leaves s(t) = 1.
+    Of the two floats that end the bisection, the one with the smaller
+    ``|s - 2|`` is returned.  An empty first order (including the empty
+    vector) leaves s(t) = 1.
     """
     vec = as_levels(levels)
     if vec.level(1) == 0:
         raise ValueError("empty first order: s(t) = 1 has no root at 2")
     lo = 0.0
     hi = 1.0 / hamiltonian.prefix_lambda(vec.level(1))
-    for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        residual = s_value(hamiltonian, vec, mid) - 2.0
-        if abs(residual) <= tol:
-            return mid
-        if residual > 0:
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if s_value(hamiltonian, vec, mid) > 2.0:
             hi = mid
         else:
             lo = mid
-    raise ConvergenceError(f"bisection did not reach |s - 2| <= {tol} in {max_iterations} iterations")
+    return min((lo, hi), key=lambda t: abs(s_value(hamiltonian, vec, t) - 2.0))
 
 
 @dataclass(frozen=True)

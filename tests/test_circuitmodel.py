@@ -1,6 +1,7 @@
 """Dense verification of the prepare/select/amplify construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lcutrunc.densesim import amplification_polynomial, operator_norm, truncated
 from lcutrunc.hamiltonian import parse_hamiltonian
 from lcutrunc.planner import order_weights, s_value, t_infinity
 
-from util import dense_walk_oracle, random_contiguous_levels, random_pauli_hamiltonian
+from util import dense_select_oracle, dense_walk_oracle, random_contiguous_levels, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -121,15 +122,16 @@ def test_prepare_dimension_cap(two_term, monkeypatch):
 def test_select_zero_order_block_is_identity(two_term):
     select = build_select(two_term, (2, 1))
     sys_dim = 4
-    assert np.abs(select[:sys_dim, :sys_dim] - np.eye(sys_dim)).max() == 0.0
+    assert np.abs(select[:sys_dim] - np.eye(sys_dim)).max() == 0.0
 
 
 def test_select_single_order_applies_minus_i_h(single_z):
     select = build_select(single_z, (1,))
     z = np.diag([1.0, -1.0]).astype(complex)
-    assert np.abs(select[:2, :2] - np.eye(2)).max() == 0.0
-    assert np.abs(select[2:, 2:] - (-1j) * z).max() <= 1e-15
-    assert np.abs(select.conj().T @ select - np.eye(4)).max() <= 1e-12
+    assert np.abs(select[:2] - np.eye(2)).max() == 0.0
+    assert np.abs(select[2:4] - (-1j) * z).max() <= 1e-15
+    blocks = select.reshape(-1, 2, 2)
+    assert np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(2)).max() <= 1e-12
 
 
 def test_select_second_order_product_and_order(two_term):
@@ -140,22 +142,18 @@ def test_select_second_order_product_and_order(two_term):
     # ancilla (k=2, l1=1, l2=0): q unary '11' -> 3, then c1=1, c2 width 0
     ancilla = (3 * 2 + 1) * 1
     start = ancilla * sys_dim
-    block = select[start : start + sys_dim, start : start + sys_dim]
+    block = select[start : start + sys_dim]
     expected = (-1j) ** 2 * (xx @ zi)  # h_{l1} leftmost
     assert np.abs(block - expected).max() <= 1e-14
 
 
 def test_select_is_block_diagonal_unitary(two_term):
+    # the stacked layout holds only the diagonal blocks, so off-block entries are zero by construction
     select = build_select(two_term, (2, 1))
-    dim = select.shape[0]
-    assert np.abs(select.conj().T @ select - np.eye(dim)).max() <= 1e-12
     sys_dim = 4
-    pattern = np.abs(select) > 1e-14
-    for i in range(dim):
-        for_blocks = pattern[i]
-        block_index = i // sys_dim
-        assert not for_blocks[: block_index * sys_dim].any()
-        assert not for_blocks[(block_index + 1) * sys_dim :].any()
+    assert select.shape == (layout_for((2, 1)).ancilla_dim * sys_dim, sys_dim)
+    blocks = select.reshape(-1, sys_dim, sys_dim)
+    assert np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(sys_dim)).max() <= 1e-12
 
 
 # ------------------------------------------------------------- walk ops
@@ -294,6 +292,9 @@ def _oracle_instance(case):
     if case == "dim1024":
         # the circuit-walk benchmark's first size: 2**7 ancilla x 2**3 system
         return random_pauli_hamiltonian(np.random.default_rng(17), 3, 16), (8, 2, 1)
+    if case == "unused-index":
+        # index register value 3 of c_1 is past L_1 = 3 and acts as identity, not as term 3
+        return parse_hamiltonian("1.0 ZI\n-0.5 XY\n0.25i YZ\n0.125 XX"), (3, 1)
     rng = np.random.default_rng(case)
     while True:
         qubits = int(rng.integers(1, 3))
@@ -309,7 +310,7 @@ def test_thin_walk_products_match_the_dense_oracle(case):
     t = t_infinity(ham)
     sys_dim = 2**ham.qubit_count
     walk, reflection, amplified = dense_walk_oracle(
-        build_prepare(ham, levels, t), build_select(ham, levels), sys_dim
+        build_prepare(ham, levels, t), dense_select_oracle(ham, levels), sys_dim
     )
     truncated = truncated_series_operator(ham, levels, t)
     s = s_value(ham, levels, t)
@@ -323,6 +324,29 @@ def test_thin_walk_products_match_the_dense_oracle(case):
     assert report.amplified_block_residual == pytest.approx(amplified_residual, abs=1e-14)
     for built, oracle in zip(build_walk_operators(ham, levels, t), (walk, reflection, amplified)):
         assert np.abs(built - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index"])
+def test_select_blocks_equal_the_dense_oracle_diagonal(case):
+    ham, levels = _oracle_instance(case)
+    sys_dim = 2**ham.qubit_count
+    select = build_select(ham, levels)
+    oracle = dense_select_oracle(ham, levels)
+    assert select.shape == (oracle.shape[0], sys_dim)
+    for start in range(0, oracle.shape[0], sys_dim):
+        assert np.array_equal(select[start : start + sys_dim], oracle[start : start + sys_dim, start : start + sys_dim])
+
+
+def test_identities_peak_memory_stays_below_one_full_size_matrix():
+    # one complex d x d matrix at d = 1024 is 16 MiB; the block path holds d x 2^n arrays
+    ham, levels = _oracle_instance("dim1024")
+    tracemalloc.start()
+    try:
+        verify_identities(ham, levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_identities_form_only_the_ancilla_zero_columns(two_term, monkeypatch):

@@ -1,7 +1,10 @@
 """Parsing, normalization, sorting, and generation of term-list Hamiltonians."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcutrunc.errors import TermListError
 from lcutrunc.hamiltonian import (
@@ -96,6 +99,34 @@ def test_all_terms_dropped_is_error():
         parse_hamiltonian("0.0 Z")
 
 
+def test_repeated_strings_are_summed_in_first_appearance_order():
+    with pytest.warns(UserWarning, match="merged repeated lines of 2 Pauli") as record:
+        ham = parse_hamiltonian("0.5 XI\n0.25 ZZ\n0.25 XI\n-0.5i YY\n0.25i YY")
+    assert [(t.alpha, t.op.axes, t.op.phase) for t in ham.terms] == [
+        (0.75, "XI", 1 + 0j),
+        (0.25, "ZZ", 1 + 0j),
+        (0.25, "YY", -1j),
+    ]
+    assert sum("merged" in str(w.message) for w in record) == 1
+
+
+def test_cancelling_strings_are_dropped():
+    with pytest.warns(UserWarning) as record:
+        ham = parse_hamiltonian("1 ZZ\n-1 ZZ\n0.5 XI")
+    assert [t.op.axes for t in ham.terms] == ["XI"]
+    assert ham.lambda_total == 0.5
+    messages = [str(w.message) for w in record]
+    assert any("merged repeated lines of 1 Pauli" in m for m in messages)
+    assert any("dropped 1 term" in m for m in messages)
+    with pytest.raises(TermListError, match="no usable terms"), pytest.warns(UserWarning):
+        parse_hamiltonian("0.5 X\n-0.5 X")
+
+
+def test_merged_sum_with_a_general_phase_names_the_string():
+    with pytest.raises(TermListError, match="Pauli string ZX: .*neither real nor pure-imaginary"):
+        parse_hamiltonian("1 IY\n1 ZX\n0.5i ZX")
+
+
 def test_zero_alpha_rejected_at_type_level():
     with pytest.raises(ValueError):
         HamiltonianTerm(alpha=0.0, op=PauliString(axes="Z"))
@@ -144,6 +175,42 @@ def test_format_round_trip(two_term):
     for ham in (two_term, mixed):
         again = parse_hamiltonian(format_term_list(ham))
         assert again.terms == ham.terms
+
+
+_AXES = ("XI", "ZZ", "YX", "IY")
+
+
+@st.composite
+def _term_lists(draw):
+    """Term-list lines over a few strings, repeats likely; each string is real or imaginary throughout."""
+    imaginary = {axes: draw(st.booleans()) for axes in _AXES}
+    entries = draw(
+        st.lists(st.tuples(st.sampled_from(_AXES), st.floats(1e-3, 10.0), st.booleans()), min_size=1, max_size=10)
+    )
+    return [
+        (f"{'-' if negative else ''}{magnitude!r}{'i' if imaginary[axes] else ''}", axes)
+        for axes, magnitude, negative in entries
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_term_lists())
+def test_parse_format_round_trip_with_signs_phases_and_repeats(lines):
+    expected: dict[str, complex] = {}
+    for token, axes in lines:
+        expected[axes] = expected.get(axes, 0) + complex(token.replace("i", "j"))
+    expected = {axes: c for axes, c in expected.items() if abs(c) >= 1e-15}
+    text = "\n".join(f"{token} {axes}" for token, axes in lines)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if not expected:
+            with pytest.raises(TermListError, match="no usable terms"):
+                parse_hamiltonian(text)
+            return
+        ham = parse_hamiltonian(text)
+    assert {t.op.axes: t.coefficient for t in ham.terms} == expected
+    assert parse_hamiltonian(format_term_list(ham)).terms == ham.terms
 
 
 def test_random_hamiltonian_sigma_zero_is_uniform(two_term):

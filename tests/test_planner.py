@@ -330,6 +330,24 @@ def test_t_root_converges_to_t_infinity_for_deep_uniform_orders():
     assert root == pytest.approx(t_infinity(ham), abs=1e-12)
 
 
+def test_t_root_leaves_no_residual_above_rounding():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        ham = random_pauli_hamiltonian(rng, 3, int(rng.integers(1, 12)))
+        levels = random_contiguous_levels(rng, ham.num_terms, 6)
+        root = solve_t_root(ham, levels)
+        residual = abs(s_value(ham, levels, root) - 2.0)
+        assert residual <= 2e-15
+        for neighbour in (math.nextafter(root, 0.0), math.nextafter(root, math.inf)):
+            assert residual <= abs(s_value(ham, levels, neighbour) - 2.0)
+
+
+def test_t_root_of_a_linear_normalization_is_exact():
+    # s(t) = 1 + 0.5 t reaches 2 at t = 2, a float
+    ham = parse_hamiltonian("0.5 X")
+    assert abs(solve_t_root(ham, (1,)) - 2.0) <= 4.5e-16
+
+
 def test_t_root_rejects_empty_vector(two_term):
     with pytest.raises(ValueError, match="no root"):
         solve_t_root(two_term, ())
@@ -426,7 +444,7 @@ def test_step_size_choice_is_first_order_equivalent():
         for n in range(1, 9):
             vec = full_order_levels(ham, n)
             eps = epsilon_bound(ham, vec)
-            root = solve_t_root(ham, vec, tol=1e-13)
+            root = solve_t_root(ham, vec)
             eps_at_root = math.exp(ham.lambda_total * root) - 2.0
             relative.append(abs(eps_at_root - eps) / eps)
         assert all(b < a for a, b in zip(relative, relative[1:]))

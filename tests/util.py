@@ -86,3 +86,38 @@ def dense_walk_oracle(prepare: np.ndarray, select: np.ndarray, sys_dim: int):
     reflection = np.diag(signs).astype(complex)
     amplified = -walk @ reflection @ walk.conj().T @ reflection @ walk
     return walk, reflection, amplified
+
+
+def dense_select_oracle(hamiltonian: SortedHamiltonian, levels) -> np.ndarray:
+    """Dense d×d select built from ``kron_chain`` with its own ancilla decoding.
+
+    Ancilla qubits, most significant first: the unary order register
+    ``q_1..q_kappa`` (order k sets the first k), then the binary index
+    registers ``c_1..c_kappa`` of ``ceil(log2 L_k)`` qubits each; the system
+    comes last.  The block of order k with indices l_1..l_k is
+    ``(-i h_{l_1})…(-i h_{l_k})``, skipping an index at or past ``L_m``.
+    Every other ancilla state, and every register past order k, acts as
+    identity.
+    """
+    levels = tuple(levels)
+    kappa = len(levels)
+    widths = [(count - 1).bit_length() for count in levels]
+    bits_total = kappa + sum(widths)
+    sys_dim = 2**hamiltonian.qubit_count
+    operators = [-1j * term.op.phase * kron_chain(term.op.axes) for term in hamiltonian.terms]
+
+    select = np.zeros((2**bits_total * sys_dim,) * 2, dtype=complex)
+    for ancilla in range(2**bits_total):
+        bits = format(ancilla, f"0{bits_total}b")
+        order = bits[:kappa].count("1")
+        block = np.eye(sys_dim, dtype=complex)
+        if bits[:kappa] == "1" * order + "0" * (kappa - order):
+            position = kappa
+            for m in range(order):
+                index = int(bits[position : position + widths[m]] or "0", 2)
+                position += widths[m]
+                if index < levels[m]:
+                    block = block @ operators[index]
+        start = ancilla * sys_dim
+        select[start : start + sys_dim, start : start + sys_dim] = block
+    return select
