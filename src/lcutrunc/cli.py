@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .errors import CapExceeded, ConvergenceError, TermListError
@@ -71,13 +72,13 @@ def _format_of(out: str | None, allowed: tuple[str, ...]) -> str:
 
 
 def _cmd_plan(args) -> int:
+    fmt = _format_of(args.out, ("json", "csv"))
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     if (args.budget is None) == (args.target_epsilon is None):
         raise ValueError("specify exactly one of --budget or --target-epsilon")
     trace = planner.greedy_plan(
         hamiltonian, budget=args.budget, target_epsilon=args.target_epsilon
     )
-    fmt = _format_of(args.out, ("json", "csv"))
     _emit(trace.to_json() if fmt == "json" else trace.to_csv(), args.out)
     return EXIT_OK
 
@@ -85,6 +86,7 @@ def _cmd_plan(args) -> int:
 def _cmd_bound(args) -> int:
     import json
 
+    _format_of(args.out, ("json",))
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     levels = _resolve_levels(args, hamiltonian)
     payload = {
@@ -98,42 +100,41 @@ def _cmd_bound(args) -> int:
         "epsilon": planner.epsilon_bound(hamiltonian, levels),
         "t_root": planner.solve_t_root(hamiltonian, levels) if levels.kappa else None,
     }
-    _format_of(args.out, ("json",))
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
+    fmt = _format_of(args.out, ("json", "csv"))
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     levels = _resolve_levels(args, hamiltonian)
     if args.r_max == 1:
         result = densesim.single_step_error(hamiltonian, levels)
     else:
         result = densesim.multi_step_error(hamiltonian, levels, args.r_max)
-    fmt = _format_of(args.out, ("json", "csv"))
     _emit(result.to_json() if fmt == "json" else result.to_csv(), args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
+    fmt = _format_of(args.out, ("csv", "json"))
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     with_dense = args.dense
     if with_dense:
         try:
             densesim._check_qubits(hamiltonian.qubit_count)
         except CapExceeded as exc:
-            sys.stderr.write(f"warning: {exc}; reporting bounds only\n")
+            warnings.warn(f"{exc}; reporting bounds only")
             with_dense = False
     rows = report.generate_comparison_report(hamiltonian, args.n_max, with_dense=with_dense)
-    fmt = _format_of(args.out, ("csv", "json"))
     _emit(report.serialize_report(rows, fmt).decode(), args.out)
     return EXIT_OK
 
 
 def _cmd_resources(args) -> int:
+    _format_of(args.out, ("json",))
     hamiltonian = _load_hamiltonian(args.hamiltonian)
     levels = _resolve_levels(args, hamiltonian)
-    _format_of(args.out, ("json",))
     _emit(estimate_resources(levels).to_json(), args.out)
     return EXIT_OK
 
@@ -217,18 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; library warnings print once each as ``warning:`` lines, before any ``error:`` line."""
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (TermListError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except CapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.func(args)
+        except (TermListError, ValueError) as exc:
+            code, error = EXIT_INPUT, exc
+        except CapExceeded as exc:
+            code, error = EXIT_CAP, exc
+        except ConvergenceError as exc:
+            code, error = EXIT_NO_CONVERGENCE, exc
+    for message in dict.fromkeys(str(warning.message) for warning in caught):
+        sys.stderr.write(f"warning: {message}\n")
+    if error is not None:
+        sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

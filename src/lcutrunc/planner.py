@@ -14,7 +14,10 @@ With ``Lambda_k`` counted as 1 their sum from order ``k`` on is
 
 The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
-the largest decrease of the error bound) per unit of gate cost.
+the largest decrease of the error bound) per unit of gate cost.  Each step
+costs one weight pass, which estimates every order's gain from suffix sums of
+the order weights, plus about one :func:`insertion_gain` call, which confirms
+the winner and supplies the recorded gain.
 """
 
 from __future__ import annotations
@@ -30,6 +33,18 @@ from .hamiltonian import SortedHamiltonian
 # Cost cap for target-epsilon plans, as a multiple of the term count; double
 # precision cannot resolve bounds below ~1e-16 anyway.
 DEFAULT_COST_CAP_FACTOR = 64
+
+# Greedy confirms with insertion_gain every order whose estimated gain lies
+# within these margins of the best estimate.  Estimate and confirmed gain are
+# both sums and products of positive floats, each within about (2K+2)
+# roundings of the exact gain, far inside the relative margin, so no order
+# whose confirmed gain could win or tie is screened out.  Weights below the
+# smallest normal float round to absolute steps of 2**-1074 instead; these
+# add at most about K * 2**-1074 * max(1, alpha_1) to a gain, and K stays
+# below 200 because w_K <= ln(2)^K / K!, far inside the absolute margin
+# ``max(1, alpha_1) * _GAIN_SCREEN_ATOL``.
+_GAIN_SCREEN_RTOL = 1e-12
+_GAIN_SCREEN_ATOL = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -224,6 +239,31 @@ def solve_t_root(
     return min((lo, hi), key=lambda t: abs(s_value(hamiltonian, vec, t) - 2.0))
 
 
+def _gain_estimates(
+    hamiltonian: SortedHamiltonian, current: TruncationVector, t: float
+) -> list[tuple[int, float]]:
+    """``(k, gain estimate)`` for each order open to the contiguous ``current``, ascending in k.
+
+    With ``Lambda_k`` counted as 1 the weights from order ``k`` on are
+    ``w_nu / Lambda_k``, so a nonfull order ``k <= K`` gains about
+    ``alpha_{L_k+1} * S_k / Lambda_k`` with suffix sum ``S_k = sum_{nu>=k} w_nu``,
+    and the next empty order gains ``alpha_1 * w_K * t / (K+1)``.
+    """
+    weights = order_weights(hamiltonian, current, t)
+    counts = current.levels
+    terms, prefix, num_terms = hamiltonian.terms, hamiltonian.prefix, hamiltonian.num_terms
+    top = len(counts)
+    estimates = [(top + 1, terms[0].alpha * (weights[top] * (t / (top + 1))))]
+    suffix = 0.0
+    for k in range(top, 0, -1):
+        suffix += weights[k]
+        count = counts[k - 1]
+        if count < num_terms:
+            estimates.append((k, terms[count].alpha * (suffix / prefix[count])))
+    estimates.reverse()
+    return estimates
+
+
 @dataclass(frozen=True)
 class PlanStep:
     """One greedy insertion: which order grew and what it bought."""
@@ -288,6 +328,13 @@ def greedy_plan(
     the error bound drops to ``target_epsilon``.  Exactly one stopping rule
     must be given.
 
+    A step costs O(K) for ``K`` populated orders: one weight pass estimates
+    every order's gain, and :func:`insertion_gain` confirms only the orders
+    whose estimate lies within ``_GAIN_SCREEN_RTOL`` (relative) or, for gains
+    near underflow, ``_GAIN_SCREEN_ATOL`` of the best: about one call per
+    step.  Choices and recorded gains are those of calling
+    :func:`insertion_gain` for every order.
+
     Raises :class:`ConvergenceError` if ``target_epsilon`` is still
     unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
     """
@@ -299,8 +346,8 @@ def greedy_plan(
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
 
     t = t_infinity(hamiltonian)
-    num_terms = hamiltonian.num_terms
-    cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
+    cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * hamiltonian.num_terms
+    screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
 
     counts: list[int] = []
     epsilon = 1.0
@@ -317,10 +364,13 @@ def greedy_plan(
             )
 
         current = TruncationVector(levels=tuple(counts))
+        estimates = _gain_estimates(hamiltonian, current, t)
+        best = max(estimate for _, estimate in estimates)
+        floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
         best_k = 0
         best_gain = 0.0
-        for k in range(1, len(counts) + 2):
-            if current.level(k) >= num_terms:
+        for k, estimate in estimates:
+            if estimate < floor:
                 continue
             gain = insertion_gain(hamiltonian, current, k, t)
             if gain > best_gain:

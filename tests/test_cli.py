@@ -214,3 +214,42 @@ def test_plan_outputs_are_pinned_to_exact_bytes(ham_file, tmp_path, monkeypatch)
 def test_unknown_extension_rejected(ham_file, tmp_path):
     assert main(["plan", "--hamiltonian", str(ham_file), "--budget", "1",
                  "--out", str(tmp_path / "plan.xml")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--budget", "4000"],
+        ["bound", "--budget", "4000"],
+        ["simulate", "--budget", "4", "--r-max", "3"],
+        ["compare", "--n-max", "6", "--dense"],
+        ["resources", "--budget", "4000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_extension_is_checked_before_any_planning(ham_file, tmp_path, monkeypatch, capsys, argv):
+    import lcutrunc.planner as planner_module
+    import lcutrunc.report as report_module
+
+    def no_planning(*args, **kwargs):
+        raise AssertionError("planned before checking --out")
+
+    monkeypatch.setattr(planner_module, "greedy_plan", no_planning)
+    monkeypatch.setattr(report_module, "greedy_plan", no_planning)
+    out = tmp_path / "result.txt"
+    assert main([argv[0], "--hamiltonian", str(ham_file), *argv[1:], "--out", str(out)]) == 2
+    assert "output extension 'txt' not supported" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_warnings_print_as_warning_lines_before_errors(tmp_path, capsys):
+    path = tmp_path / "repeated.txt"
+    path.write_text("1.0 ZI\n0.1 XX\n0.2 ZI\n")
+    assert main(["bound", "--hamiltonian", str(path), "--order", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: merged repeated lines of 1 Pauli string(s) by summing their coefficients\n"
+    assert "UserWarning" not in err and ".py:" not in err
+
+    assert main(["bound", "--hamiltonian", str(path), "--levels", "3"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["warning", "error"]

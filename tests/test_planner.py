@@ -12,7 +12,13 @@ import pytest
 
 from lcutrunc import planner
 from lcutrunc.errors import ConvergenceError
-from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian, parse_hamiltonian
+from lcutrunc.hamiltonian import (
+    HamiltonianTerm,
+    PauliString,
+    SortedHamiltonian,
+    logspread_hamiltonian,
+    parse_hamiltonian,
+)
 from lcutrunc.planner import (
     TruncationVector,
     cost_of,
@@ -277,6 +283,90 @@ def test_greedy_argument_validation(two_term):
         greedy_plan(two_term, budget=0)
     with pytest.raises(ValueError):
         greedy_plan(two_term, target_epsilon=1.5)
+
+
+def reference_greedy_steps(ham, budget=None, target_epsilon=None):
+    """Greedy steps with ``insertion_gain`` called for every open order, strict ``>``."""
+    t = t_infinity(ham)
+    vec = TruncationVector(levels=())
+    epsilon = 1.0
+    steps = []
+    while (len(steps) < budget) if budget is not None else (epsilon > target_epsilon):
+        best_k, best_gain = 0, 0.0
+        for k in range(1, len(vec) + 2):
+            if vec.level(k) < ham.num_terms:
+                gain = insertion_gain(ham, vec, k, t)
+                if gain > best_gain:
+                    best_k, best_gain = k, gain
+        assert best_k > 0
+        vec = vec.bump(best_k)
+        epsilon -= best_gain
+        steps.append(planner.PlanStep(best_k, best_gain, epsilon, len(steps) + 1))
+    return tuple(steps)
+
+
+def screen_cases():
+    rng = np.random.default_rng(71)
+    spread = [logspread_hamiltonian(terms, decades, 4, seed=terms)
+              for terms, decades in ((12, 4.0), (7, 1.0), (20, 8.0))]
+    spread += [random_pauli_hamiltonian(rng, 3, int(rng.integers(2, 16)), decades=5.0) for _ in range(4)]
+    cases = [(f"spread-{i}", ham, 13 * ham.num_terms) for i, ham in enumerate(spread)]
+    cases += [(f"uniform-{n}", uniform_hamiltonian(n), 7 * n) for n in (1, 3, 6)]
+    cases.append(("two-term", parse_hamiltonian("1.0 ZI\n0.1 XX", label="two-term"), 40))
+    # gains of two orders a few ulps apart whose estimates rank them the
+    # other way round (orders 1 and 2 at step 4, 5 and 6 at step 15, 8 and 9
+    # at step 24); only the confirmation picks the reference's order
+    for i, alpha in enumerate((0.07835883772309095, 0.10675748369033093, 0.07292548676486313)):
+        cases.append((f"near-tie-{i}", parse_hamiltonian(f"1.0 ZZ\n{alpha!r} XX\n0.3 XY"), 40))
+    # deep enough that the last order weights fall below the smallest normal
+    # float, where rounding is absolute and a relative screen alone picks
+    # order 165 over the reference's 163 at step 656
+    subnormal = parse_hamiltonian("1.805068619253194e-05 XX\n1.803315903513268 YX\n1.0 ZX\n1.0 IX")
+    return cases + [("subnormal-weights", subnormal, 658)]
+
+
+SCREEN_CASES = screen_cases()
+
+
+@pytest.mark.parametrize("name, ham, budget", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
+def test_screened_greedy_equals_the_every_order_reference(name, ham, budget):
+    assert greedy_plan(ham, budget=budget).steps == reference_greedy_steps(ham, budget=budget)
+    if ham.num_terms > 1 and not name.startswith("subnormal"):
+        target = 1e-15 if name.startswith("spread") else 1e-12
+        trace = greedy_plan(ham, target_epsilon=target)
+        assert max(trace.final.levels) == ham.num_terms
+        assert trace.steps == reference_greedy_steps(ham, target_epsilon=target)
+
+
+def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
+    ham = logspread_hamiltonian(12, 4.0, 4, seed=12)
+    t = t_infinity(ham)
+    trace = greedy_plan(ham, budget=150)
+    worst = 0.0
+    for cost in range(len(trace.steps)):
+        vec = trace.levels_at_cost(cost)
+        estimates = planner._gain_estimates(ham, vec, t)
+        expected = [k for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms]
+        assert [k for k, _ in estimates] == expected
+        for k, estimate in estimates:
+            gain = insertion_gain(ham, vec, k, t)
+            worst = max(worst, abs(estimate - gain) / gain)
+    assert max(trace.final.levels) == ham.num_terms
+    assert worst <= 1e-14
+
+
+def test_greedy_confirms_about_one_gain_per_step(monkeypatch):
+    calls = 0
+    exact = planner.insertion_gain
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "insertion_gain", counted)
+    trace = greedy_plan(logspread_hamiltonian(200, 6.0, 8, seed=2), budget=800)
+    assert 0 < calls <= 2 * len(trace.steps)
 
 
 def test_trace_replay_and_prefix_queries(two_term):
