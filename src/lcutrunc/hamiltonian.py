@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import IO, Iterable
 
 import numpy as np
@@ -82,15 +83,16 @@ class HamiltonianTerm:
 
 @dataclass(frozen=True)
 class SortedHamiltonian:
-    """Terms sorted by descending weight, with prefix sums of the weights.
+    """Terms sorted by descending weight, with prefix and suffix sums of the weights.
 
     ``prefix[m]`` is the sum of the ``m`` largest weights; ``lambda_total``
-    is the full weight sum.
+    is the full weight sum.  ``suffix[m] = Lambda - Lambda_m``, summed from the smallest weight.
     """
 
     terms: tuple[HamiltonianTerm, ...]
     qubit_count: int
     prefix: tuple[float, ...]
+    suffix: tuple[float, ...]
     lambda_total: float
     label: str = field(default="", compare=False)
 
@@ -103,13 +105,13 @@ class SortedHamiltonian:
         qubit_count = len(ordered[0].op)
         if any(len(t.op) != qubit_count for t in ordered):
             raise TermListError("all Pauli strings must have equal length")
-        prefix = [0.0]
-        for term in ordered:
-            prefix.append(prefix[-1] + term.alpha)
+        prefix = tuple(accumulate((term.alpha for term in ordered), initial=0.0))
+        suffix = tuple(accumulate((term.alpha for term in reversed(ordered)), initial=0.0))[::-1]
         return cls(
             terms=tuple(ordered),
             qubit_count=qubit_count,
-            prefix=tuple(prefix),
+            prefix=prefix,
+            suffix=suffix,
             lambda_total=prefix[-1],
             label=label,
         )

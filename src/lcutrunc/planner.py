@@ -7,17 +7,18 @@ count ``L_k`` of retained largest-magnitude Hamiltonian terms.  One kernel,
     w_k(t) = t^k / k!  *  prod_{j<=k} Lambda_j,     Lambda_j = prefix sum of L_j weights
 
 up to the first empty order, whose ``Lambda_j = 0`` annihilates every later
-product.  Their sum ``s(t)`` controls both the amplification step and the
-per-step error bound ``epsilon = 2 - s(t_inf)`` at ``t_inf = ln(2) / Lambda``.
+product.  Their sum ``s(t)`` controls the amplification step; the per-step
+error bound at ``t_inf = ln(2) / Lambda`` is the omitted mass ``2 - s(t_inf)``
+of the products the truncation leaves out, summed without cancellation.
 With ``Lambda_k`` counted as 1 their sum from order ``k`` on is
 ``ds/dLambda_k``, the exact gain per unit weight added to order ``k``.
 
 The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
 the largest decrease of the error bound) per unit of gate cost.  Each step
-costs one weight pass, which estimates every order's gain from suffix sums of
-the order weights, plus about one :func:`insertion_gain` call, which confirms
-the winner and supplies the recorded gain.
+costs one weight pass, which gives the bound and estimates every order's gain,
+plus about one :func:`insertion_gain` call, which confirms the winner and
+supplies the recorded gain.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import ConvergenceError
@@ -45,6 +47,12 @@ DEFAULT_COST_CAP_FACTOR = 64
 # ``max(1, alpha_1) * _GAIN_SCREEN_ATOL``.
 _GAIN_SCREEN_RTOL = 1e-12
 _GAIN_SCREEN_ATOL = 2.0**-1000
+
+
+# phi_m(ln 2) = sum_{p>=0} ln(2)^p m!/(m+p)! for m = 0..200, by the recurrence
+# phi_{m-1} = 1 + ln(2) phi_m / m down from phi_240 = 1, which divides the start's
+# error by m at each step.  Weights w_m <= ln(2)^m / m! are 0.0 long before order 200.
+_PHI = tuple(accumulate(range(240, 0, -1), lambda phi, m: 1 + math.log(2) * phi / m, initial=1.0))[::-1][:201]
 
 
 @dataclass(frozen=True)
@@ -181,12 +189,34 @@ def s_value(
     return _sum_in_order(order_weights(hamiltonian, levels, t))
 
 
+def _omitted_mass(
+    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float
+) -> float:
+    """``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)`` at ``t = t_inf``.
+
+    ``w`` are the order weights of ``counts``.  Term ``m`` holds the products
+    whose first omitted factor lies in order ``m``; order ``K+1`` omits all of
+    ``Lambda``, and ``t Lambda = ln 2``.
+    """
+    top = min(len(weights) - 1, len(_PHI) - 2)
+    epsilon = weights[top] * (math.log(2.0) / (top + 1)) * _PHI[top + 1]
+    for m in range(top, 0, -1):
+        epsilon += weights[m - 1] * hamiltonian.suffix[counts[m - 1]] * (t / m) * _PHI[m]
+    return epsilon
+
+
 def epsilon_bound(
     hamiltonian: SortedHamiltonian, levels: "TruncationVector | Sequence[int]"
 ) -> float:
-    """Per-step error bound 2 - s(t_inf); lies in [0, 1]."""
-    eps = 2.0 - s_value(hamiltonian, levels, t_infinity(hamiltonian))
-    return max(eps, 0.0)
+    """Per-step error bound at ``t_inf``: the omitted mass ``2 - s(t_inf)``, in [0, 1].
+
+    A sum of nonnegative terms, 1.0 for the empty vector, so it never
+    cancels: within about 2K ulps of the exact bound for ``K`` live orders,
+    mostly the rounding of ``t_inf``.
+    """
+    vec = checked_levels(hamiltonian, levels)
+    t = t_infinity(hamiltonian)
+    return _omitted_mass(hamiltonian, vec.levels, order_weights(hamiltonian, vec, t), t)
 
 
 def insertion_gain(
@@ -240,17 +270,15 @@ def solve_t_root(
 
 
 def _gain_estimates(
-    hamiltonian: SortedHamiltonian, current: TruncationVector, t: float
+    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float
 ) -> list[tuple[int, float]]:
-    """``(k, gain estimate)`` for each order open to the contiguous ``current``, ascending in k.
+    """``(k, gain estimate)`` for each order open to the contiguous ``counts``, ascending in k.
 
     With ``Lambda_k`` counted as 1 the weights from order ``k`` on are
     ``w_nu / Lambda_k``, so a nonfull order ``k <= K`` gains about
     ``alpha_{L_k+1} * S_k / Lambda_k`` with suffix sum ``S_k = sum_{nu>=k} w_nu``,
     and the next empty order gains ``alpha_1 * w_K * t / (K+1)``.
     """
-    weights = order_weights(hamiltonian, current, t)
-    counts = current.levels
     terms, prefix, num_terms = hamiltonian.terms, hamiltonian.prefix, hamiltonian.num_terms
     top = len(counts)
     estimates = [(top + 1, terms[0].alpha * (weights[top] * (t / (top + 1))))]
@@ -266,7 +294,7 @@ def _gain_estimates(
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One greedy insertion: which order grew and what it bought."""
+    """One greedy insertion; ``epsilon_after`` is :func:`epsilon_bound` of the new vector, bit for bit."""
 
     chosen_k: int
     gain: float
@@ -326,7 +354,7 @@ def greedy_plan(
     Each step increments the order with the largest insertion gain
     (ties break toward the lowest order) until the cost budget is spent or
     the error bound drops to ``target_epsilon``.  Exactly one stopping rule
-    must be given.
+    must be given.  Each step records, and stops on, :func:`epsilon_bound`.
 
     A step costs O(K) for ``K`` populated orders: one weight pass estimates
     every order's gain, and :func:`insertion_gain` confirms only the orders
@@ -350,10 +378,16 @@ def greedy_plan(
     screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
 
     counts: list[int] = []
-    epsilon = 1.0
     steps: list[PlanStep] = []
+    chosen = None
 
     while True:
+        # the step's weight pass also gives the bound after the previous step
+        current = TruncationVector(levels=tuple(counts))
+        weights = order_weights(hamiltonian, current, t)
+        epsilon = _omitted_mass(hamiltonian, counts, weights, t)
+        if chosen is not None:
+            steps.append(PlanStep(*chosen, epsilon_after=epsilon, cost_after=len(steps) + 1))
         if budget is not None and len(steps) >= budget:
             break
         if target_epsilon is not None and epsilon <= target_epsilon:
@@ -363,8 +397,7 @@ def greedy_plan(
                 f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}"
             )
 
-        current = TruncationVector(levels=tuple(counts))
-        estimates = _gain_estimates(hamiltonian, current, t)
+        estimates = _gain_estimates(hamiltonian, counts, weights, t)
         best = max(estimate for _, estimate in estimates)
         floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
         best_k = 0
@@ -385,19 +418,11 @@ def greedy_plan(
         if best_k > len(counts):
             counts.append(0)
         counts[best_k - 1] += 1
-        epsilon -= best_gain
-        steps.append(
-            PlanStep(
-                chosen_k=best_k,
-                gain=best_gain,
-                epsilon_after=epsilon,
-                cost_after=len(steps) + 1,
-            )
-        )
+        chosen = (best_k, best_gain)
 
     return PlanTrace(
         hamiltonian_id=hamiltonian.label or "<unnamed>",
         t=t,
         steps=tuple(steps),
-        final=TruncationVector(levels=tuple(counts)),
+        final=current,
     )

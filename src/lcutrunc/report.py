@@ -52,23 +52,16 @@ def generate_comparison_report(
 ) -> list[ComparisonRow]:
     """One row per full-expansion order n = 1..n_max at equal cost n*L.
 
-    A single greedy plan to cost ``n_max * L`` is computed and prefix
-    evaluated.  ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the
-    smallest greedy cost ``c`` whose bound already undercuts the full
-    expansion's, or None if the trace never does.
+    A single greedy plan to cost ``n_max * L`` is computed; the bound it
+    records at each cost is ``epsilon_bound`` of that prefix vector.
+    ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the smallest greedy
+    cost ``c`` whose bound already undercuts the full expansion's, or None
+    if the trace never does.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     num_terms = hamiltonian.num_terms
     plan = greedy_plan(hamiltonian, budget=n_max * num_terms)
-
-    # bound at every cost along the trace, recomputed from the prefix vector
-    # so equal vectors give bit-identical bounds
-    eps_at_cost = [1.0]
-    prefix_vector = plan.levels_at_cost(0)
-    for step in plan.steps:
-        prefix_vector = prefix_vector.bump(step.chosen_k)
-        eps_at_cost.append(epsilon_bound(hamiltonian, prefix_vector))
 
     # one eigendecomposition serves every dense row
     exact = exact_evolution(hamiltonian, t_infinity(hamiltonian)) if with_dense else None
@@ -78,13 +71,13 @@ def generate_comparison_report(
     for n in range(1, n_max + 1):
         cost = n * num_terms
         eps_full = epsilon_bound(hamiltonian, full_order_levels(hamiltonian, n))
-        eps_greedy = eps_at_cost[cost]
+        eps_greedy = plan.epsilon_at_cost(cost)
         ratio = eps_full / eps_greedy if eps_greedy > 0 else float("inf")
 
         # the bound shrinks along the trace, so the matching cost only grows
-        while match_cost < len(eps_at_cost) and eps_at_cost[match_cost] > eps_full:
+        while match_cost <= len(plan.steps) and plan.epsilon_at_cost(match_cost) > eps_full:
             match_cost += 1
-        saving = (cost - match_cost) / num_terms if match_cost < len(eps_at_cost) else None
+        saving = (cost - match_cost) / num_terms if match_cost <= len(plan.steps) else None
 
         delta_full = delta_greedy = delta_ratio = None
         if with_dense:

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
 from lcutrunc.cli import main
 from lcutrunc.hamiltonian import parse_hamiltonian
+
+from util import omitted_mass_oracle
 
 TWO_TERM = "1.0 ZI\n0.1 XX\n"
 
@@ -190,18 +193,18 @@ def test_plan_outputs_are_pinned_to_exact_bytes(ham_file, tmp_path, monkeypatch)
     expected = {
         "plan.csv": (
             "step,k,gain,epsilon,cost\n"
-            "1,1,0.6301338005090411,0.3698661994909589,1\n"
-            "2,2,0.19853430327198401,0.17133189621897488,2\n"
-            "3,1,0.0828668103781025,0.08846508584087237,3\n"
+            "1,1,0.6301338005090411,0.3698661994909587,1\n"
+            "2,2,0.19853430327198401,0.1713318962189747,2\n"
+            "3,1,0.0828668103781025,0.0884650858408722,3\n"
         ),
         "plan.json": (
             '{\n  "hamiltonian": "ham.txt",\n  "t": 0.6301338005090411,\n  "steps": [\n'
             '    {\n      "k": 1,\n      "gain": 0.6301338005090411,\n'
-            '      "epsilon": 0.3698661994909589,\n      "cost": 1\n    },\n'
+            '      "epsilon": 0.3698661994909587,\n      "cost": 1\n    },\n'
             '    {\n      "k": 2,\n      "gain": 0.19853430327198401,\n'
-            '      "epsilon": 0.17133189621897488,\n      "cost": 2\n    },\n'
+            '      "epsilon": 0.1713318962189747,\n      "cost": 2\n    },\n'
             '    {\n      "k": 1,\n      "gain": 0.0828668103781025,\n'
-            '      "epsilon": 0.08846508584087237,\n      "cost": 3\n    }\n  ],\n'
+            '      "epsilon": 0.0884650858408722,\n      "cost": 3\n    }\n  ],\n'
             '  "final_levels": [\n    2,\n    1\n  ]\n}\n'
         ),
     }
@@ -209,6 +212,34 @@ def test_plan_outputs_are_pinned_to_exact_bytes(ham_file, tmp_path, monkeypatch)
         out = tmp_path / filename
         assert main(["plan", "--hamiltonian", ham_file.name, "--budget", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == text.encode(), filename
+    pinned = {(1,): 0.3698661994909587, (1, 1): 0.1713318962189747, (2, 1): 0.0884650858408722}
+    for levels, epsilon in pinned.items():
+        exact = omitted_mass_oracle(TWO_TERM, levels)
+        assert abs(Decimal(epsilon) - exact) <= Decimal("4e-16") * exact, levels
+    # closer than the 0.08846508584087237 that subtracting gains from 1.0 printed
+    exact = omitted_mass_oracle(TWO_TERM, (2, 1))
+    assert abs(Decimal(0.0884650858408722) - exact) < abs(Decimal(0.08846508584087237) - exact)
+
+
+def test_plan_reaches_a_target_below_the_cancellation_floor_of_2_minus_s(tmp_path):
+    path = tmp_path / "zx.txt"
+    path.write_text("1 Z\n0.5 X\n")
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--hamiltonian", str(path), "--target-epsilon", "1e-18", "--out", str(out)]) == 0
+    assert 0.0 < json.loads(out.read_text())["steps"][-1]["epsilon"] <= 1e-18
+
+
+def test_simulate_rejects_non_hermitian_input_before_building_a_matrix(tmp_path, monkeypatch, capsys):
+    import lcutrunc.densesim as densesim_module
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("built a matrix before checking Hermiticity")
+
+    monkeypatch.setattr(densesim_module, "hamiltonian_matrix", no_matrix)
+    path = tmp_path / "anti.txt"
+    path.write_text("1 Z\n0.5i X\n")
+    assert main(["simulate", "--hamiltonian", str(path), "--levels", "1"]) == 2
+    assert "not Hermitian" in capsys.readouterr().err
 
 
 def test_unknown_extension_rejected(ham_file, tmp_path):

@@ -6,9 +6,11 @@ below.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcutrunc import planner
 from lcutrunc.errors import ConvergenceError
@@ -31,7 +33,7 @@ from lcutrunc.planner import (
     t_infinity,
 )
 
-from util import random_contiguous_levels, random_pauli_hamiltonian
+from util import omitted_mass_oracle, random_contiguous_levels, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -132,6 +134,45 @@ def test_epsilon_bound_values(two_term):
         expected, abs=1e-14
     )
     assert expected == pytest.approx(0.01112220381613227, abs=1e-14)
+
+
+def test_epsilon_bound_keeps_its_digits_where_two_minus_s_cancels():
+    # 2 - s(t_inf) read 4.44e-16 here, three times the bound
+    text = "1 Z\n0.5 X"
+    exact = omitted_mass_oracle(text, (2,) * 15)
+    assert abs(exact - Decimal("1.41456645e-16")) < Decimal("1e-24")
+    eps = epsilon_bound(parse_hamiltonian(text), (2,) * 15)
+    assert abs(Decimal(eps) - exact) <= Decimal("4e-15") * exact
+
+
+@st.composite
+def _weights_and_levels(draw):
+    """Up to 30 distinct strings with log-uniform weights over up to 10 decades, and a vector."""
+    decades = draw(st.floats(0.0, 10.0))
+    weights = draw(st.lists(st.floats(0.0, decades).map(lambda e: 10.0**-e), min_size=1, max_size=30))
+    axes = [f"{i:05b}".replace("0", "Z").replace("1", "X") for i in range(len(weights))]
+    text = "".join(f"{w!r} {a}\n" for w, a in zip(weights, axes))
+    levels = draw(st.lists(st.integers(1, len(weights)), max_size=40))
+    gap = draw(st.integers(0, 40))
+    if gap < len(levels):
+        levels[gap] = 0
+    return text, tuple(levels)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_weights_and_levels())
+def test_epsilon_bound_matches_the_50_digit_omitted_mass(case):
+    text, levels = case
+    ham = parse_hamiltonian(text)
+    eps = epsilon_bound(ham, levels)
+    exact = omitted_mass_oracle(text, levels)
+    # every weight factor carries the rounding of t_inf, about 2 ulps per
+    # live order: 4e-15 covers up to 12 orders, deeper vectors the growth
+    live = (list(levels) + [0]).index(0)
+    assert eps >= 0.0
+    assert abs(Decimal(eps) - exact) <= max(Decimal("4e-15"), Decimal((2 * live + 8) * 2.0**-53)) * exact
+    if eps > 1e-3:
+        assert abs(eps - (2.0 - s_value(ham, levels, t_infinity(ham)))) <= 1e-15
 
 
 # ---------------------------------------------------------------- gains
@@ -261,6 +302,17 @@ def test_greedy_epsilon_strictly_decreases():
         assert [s.cost_after for s in trace.steps] == list(range(1, 13))
 
 
+def test_greedy_records_epsilon_bound_of_each_prefix_and_never_a_negative_bound():
+    # subtracting each gain from 1.0 made 599 of these bounds negative
+    ham = parse_hamiltonian("1.805068619253194e-05 XX\n1.803315903513268 YX\n1.0 ZX\n1.0 IX")
+    trace = greedy_plan(ham, budget=658)
+    vec = trace.levels_at_cost(0)
+    for step in trace.steps:
+        vec = vec.bump(step.chosen_k)  # trace.levels_at_cost(step.cost_after), replayed once
+        assert step.epsilon_after >= 0.0
+        assert step.epsilon_after == epsilon_bound(ham, vec)
+
+
 def test_greedy_target_epsilon_stops_at_threshold(two_term):
     trace = greedy_plan(two_term, target_epsilon=0.1)
     assert trace.final.cost == 3
@@ -286,10 +338,13 @@ def test_greedy_argument_validation(two_term):
 
 
 def reference_greedy_steps(ham, budget=None, target_epsilon=None):
-    """Greedy steps with ``insertion_gain`` called for every open order, strict ``>``."""
+    """Greedy steps with ``insertion_gain`` called for every open order, strict ``>``.
+
+    Each step records, and target mode stops on, ``epsilon_bound`` of its vector.
+    """
     t = t_infinity(ham)
     vec = TruncationVector(levels=())
-    epsilon = 1.0
+    epsilon = epsilon_bound(ham, vec)
     steps = []
     while (len(steps) < budget) if budget is not None else (epsilon > target_epsilon):
         best_k, best_gain = 0, 0.0
@@ -300,7 +355,7 @@ def reference_greedy_steps(ham, budget=None, target_epsilon=None):
                     best_k, best_gain = k, gain
         assert best_k > 0
         vec = vec.bump(best_k)
-        epsilon -= best_gain
+        epsilon = epsilon_bound(ham, vec)
         steps.append(planner.PlanStep(best_k, best_gain, epsilon, len(steps) + 1))
     return tuple(steps)
 
@@ -345,7 +400,7 @@ def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     worst = 0.0
     for cost in range(len(trace.steps)):
         vec = trace.levels_at_cost(cost)
-        estimates = planner._gain_estimates(ham, vec, t)
+        estimates = planner._gain_estimates(ham, vec.levels, planner.order_weights(ham, vec, t), t)
         expected = [k for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms]
         assert [k for k, _ in estimates] == expected
         for k, estimate in estimates:

@@ -4,6 +4,7 @@ The matrix helpers here are intentionally independent of the package's own
 dense constructions so they can serve as oracles.
 """
 
+from decimal import Decimal, Inexact, localcontext
 from functools import reduce
 
 import numpy as np
@@ -121,3 +122,50 @@ def dense_select_oracle(hamiltonian: SortedHamiltonian, levels) -> np.ndarray:
         start = ancilla * sys_dim
         select[start : start + sys_dim, start : start + sys_dim] = block
     return select
+
+
+def omitted_mass_oracle(text: str, levels) -> Decimal:
+    """The bound ``2 - s(t_inf)`` at the exact ``t_inf = ln 2 / Lambda``, to 50 digits.
+
+    Stdlib ``decimal`` only.  The weights are the coefficient magnitudes of
+    the term-list ``text``, taken as exact Decimals of their doubles; the
+    strings must be distinct.  The prefix sums are exact (an inexact one
+    raises); everything after them is at 50 digits.  The bound is summed as
+    ``sum_nu t^nu/nu! * (Lambda^nu - prod_{j<=nu} Lambda_j)``: both products
+    are formed factor by factor, so equal factors leave an exact 0, and
+    past the first empty order the sum runs until a term falls below 1e-45
+    of it.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        ctx.traps[Inexact] = True
+        weights = []
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                weights.append(abs(Decimal(float(line.split()[0].rstrip("ij")))))
+        weights.sort(reverse=True)
+        prefix = [Decimal(0)]
+        for weight in weights:
+            prefix.append(prefix[-1] + weight)
+        ctx.prec = 50
+        ctx.traps[Inexact] = False
+        lam = prefix[-1]
+        t = Decimal(2).ln() / lam
+        live = []
+        for count in levels:
+            if count == 0:
+                break
+            live.append(prefix[count])
+        total = Decimal(0)
+        coefficient = power = product = Decimal(1)
+        nu = 0
+        while True:
+            nu += 1
+            coefficient = coefficient * t / nu
+            power *= lam
+            product = product * live[nu - 1] if nu <= len(live) else Decimal(0)
+            term = coefficient * (power - product)
+            total += term
+            if nu > len(live) and term < total * Decimal("1e-45"):
+                return total
