@@ -98,10 +98,39 @@ class SortedHamiltonian:
 
     @classmethod
     def from_terms(cls, terms: Iterable[HamiltonianTerm], label: str = "") -> "SortedHamiltonian":
-        """Sort terms by descending weight (stable) and build prefix sums."""
-        ordered = sorted(terms, key=lambda term: -term.alpha)
+        """Merge repeated strings, sort terms by descending weight (stable) and build prefix sums.
+
+        Repeats are merged in order of first appearance by summing their coefficients, with
+        one warning; sums below ``DROP_THRESHOLD`` are dropped with a warning.  Raises
+        :class:`TermListError` naming the string for a sum neither real nor pure-imaginary.
+        """
+        merged: dict[str, HamiltonianTerm] = {}
+        sums: dict[str, complex] = {}  # coefficient sums of the repeated strings only
+        for term in terms:
+            axes = term.op.axes
+            if axes in merged:
+                sums[axes] = sums.get(axes, merged[axes].coefficient) + term.coefficient
+            else:
+                merged[axes] = term
+        dropped = 0
+        for axes, coefficient in sums.items():
+            if abs(coefficient) < DROP_THRESHOLD:
+                dropped += 1
+                del merged[axes]
+                continue
+            try:
+                alpha, phase = _fold_phase(coefficient)
+            except ValueError as exc:
+                raise TermListError(f"Pauli string {axes}: {exc}") from None
+            merged[axes] = HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase))
+        if sums:
+            warnings.warn(f"merged repeated lines of {len(sums)} Pauli string(s) by summing their coefficients")
+        if dropped:
+            warnings.warn(f"dropped {dropped} term(s) with |coefficient| < {DROP_THRESHOLD}")
+
+        ordered = sorted(merged.values(), key=lambda term: -term.alpha)
         if not ordered:
-            raise TermListError("Hamiltonian must contain at least one term")
+            raise TermListError("no usable terms found in input")
         qubit_count = len(ordered[0].op)
         if any(len(t.op) != qubit_count for t in ordered):
             raise TermListError("all Pauli strings must have equal length")
@@ -154,20 +183,18 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
     """Parse the term-list format into a :class:`SortedHamiltonian`.
 
     Coefficients are normalized to positive magnitudes with the unit phase
-    folded into the Pauli string.  Lines that repeat a string are merged in
-    order of first appearance by summing their coefficients, with one
-    warning.  Terms and sums with magnitude below ``DROP_THRESHOLD`` are
-    dropped with a warning.  Raises :class:`TermListError` with a line
-    number on malformed input, or naming the string when a sum is neither
-    real nor pure-imaginary.
+    folded into the Pauli string.  Lines with magnitude below
+    ``DROP_THRESHOLD`` are dropped with a warning; repeated strings are
+    merged by :meth:`SortedHamiltonian.from_terms`.  Raises
+    :class:`TermListError` with a line number on malformed input, or as
+    ``from_terms`` does.
     """
     if isinstance(source, str):
         lines = source.splitlines()
     else:
         lines = source.read().splitlines()
 
-    terms: dict[str, HamiltonianTerm] = {}
-    sums: dict[str, complex] = {}  # coefficient sums of the repeated strings only
+    terms: list[HamiltonianTerm] = []
     dropped = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -185,32 +212,13 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
                 dropped += 1
                 continue
             alpha, phase = _fold_phase(coefficient)
-            op = PauliString(axes=axes, phase=phase)
+            terms.append(HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase)))
         except ValueError as exc:
             raise TermListError(f"line {lineno}: {exc}") from None
-        if axes in terms:
-            sums[axes] = sums.get(axes, terms[axes].coefficient) + phase * alpha
-        else:
-            terms[axes] = HamiltonianTerm(alpha=alpha, op=op)
 
-    for axes, coefficient in sums.items():
-        if abs(coefficient) < DROP_THRESHOLD:
-            dropped += 1
-            del terms[axes]
-            continue
-        try:
-            alpha, phase = _fold_phase(coefficient)
-        except ValueError as exc:
-            raise TermListError(f"Pauli string {axes}: {exc}") from None
-        terms[axes] = HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase))
-
-    if sums:
-        warnings.warn(f"merged repeated lines of {len(sums)} Pauli string(s) by summing their coefficients")
     if dropped:
-        warnings.warn(f"dropped {dropped} term(s) with |coefficient| < {DROP_THRESHOLD}")
-    if not terms:
-        raise TermListError("no usable terms found in input")
-    return SortedHamiltonian.from_terms(terms.values(), label=label)
+        warnings.warn(f"dropped {dropped} line(s) with |coefficient| < {DROP_THRESHOLD}")
+    return SortedHamiltonian.from_terms(terms, label=label)
 
 
 def format_term_list(hamiltonian: SortedHamiltonian) -> str:

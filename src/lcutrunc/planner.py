@@ -15,10 +15,11 @@ With ``Lambda_k`` counted as 1 their sum from order ``k`` on is
 
 The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
-the largest decrease of the error bound) per unit of gate cost.  Each step
-costs one weight pass, which gives the bound and estimates every order's gain,
-plus about one :func:`insertion_gain` call, which confirms the winner and
-supplies the recorded gain.
+the largest decrease of the error bound) per unit of gate cost.  It keeps
+the order weights across steps and recomputes only those from the bumped
+order on.  Each step makes one reverse scan over them, which gives the bound
+and estimates every order's gain, plus about one :func:`insertion_gain` call,
+which confirms the winner and supplies the recorded gain.
 """
 
 from __future__ import annotations
@@ -158,11 +159,16 @@ def order_weights(
     counts = checked_levels(hamiltonian, levels).levels
     if unit_order is not None:
         counts += (0,) * (unit_order - len(counts))
-    weights = [1.0]
-    weight = 1.0
-    prefix = hamiltonian.prefix
-    for k, count in enumerate(counts, start=1):
-        lam = 1.0 if k == unit_order else prefix[count]
+    return _extend_weights([1.0], hamiltonian.prefix, counts, t, unit_order)
+
+
+def _extend_weights(
+    weights: list[float], prefix: Sequence[float], counts: Sequence[int], t: float, unit_order: int | None = None
+) -> list[float]:
+    """Append to ``weights = [w_0, ..., w_j]`` the order weights of ``counts`` from order ``j + 1`` on."""
+    weight = weights[-1]
+    for k in range(len(weights), len(counts) + 1):
+        lam = 1.0 if k == unit_order else prefix[counts[k - 1]]
         if lam == 0.0:
             break
         weight *= t * lam / k
@@ -189,20 +195,37 @@ def s_value(
     return _sum_in_order(order_weights(hamiltonian, levels, t))
 
 
-def _omitted_mass(
+def _scan(
     hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float
-) -> float:
-    """``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)`` at ``t = t_inf``.
+) -> tuple[float, list[tuple[int, float]], float]:
+    """The bound, each open order's ``(k, gain estimate)`` ascending in k, and the best estimate.
 
-    ``w`` are the order weights of ``counts``.  Term ``m`` holds the products
-    whose first omitted factor lies in order ``m``; order ``K+1`` omits all of
-    ``Lambda``, and ``t Lambda = ln 2``.
+    ``w`` are the order weights of ``counts`` (contiguous for the estimates),
+    ``t = t_inf``, and one pass runs from the top live order ``K`` down.  The
+    bound is the omitted mass ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``:
+    term ``m`` holds the products whose first omitted factor lies in order ``m``;
+    order ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  With ``Lambda_k``
+    counted as 1 the weights from order ``k`` on are ``w_nu / Lambda_k``, so a
+    nonfull order ``k <= K`` gains about ``alpha_{L_k+1} * S_k / Lambda_k`` with
+    ``S_k = sum_{nu>=k} w_nu``, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.
     """
+    terms, prefix, suffix, num_terms = hamiltonian.terms, hamiltonian.prefix, hamiltonian.suffix, hamiltonian.num_terms
     top = min(len(weights) - 1, len(_PHI) - 2)
     epsilon = weights[top] * (math.log(2.0) / (top + 1)) * _PHI[top + 1]
+    best = terms[0].alpha * (weights[top] * (t / (top + 1)))
+    estimates = [(top + 1, best)]
+    tail = 0.0
     for m in range(top, 0, -1):
-        epsilon += weights[m - 1] * hamiltonian.suffix[counts[m - 1]] * (t / m) * _PHI[m]
-    return epsilon
+        count = counts[m - 1]
+        epsilon += weights[m - 1] * suffix[count] * (t / m) * _PHI[m]
+        tail += weights[m]
+        if count < num_terms:
+            estimate = terms[count].alpha * (tail / prefix[count])
+            estimates.append((m, estimate))
+            if estimate > best:
+                best = estimate
+    estimates.reverse()
+    return epsilon, estimates, best
 
 
 def epsilon_bound(
@@ -216,7 +239,7 @@ def epsilon_bound(
     """
     vec = checked_levels(hamiltonian, levels)
     t = t_infinity(hamiltonian)
-    return _omitted_mass(hamiltonian, vec.levels, order_weights(hamiltonian, vec, t), t)
+    return _scan(hamiltonian, vec.levels, order_weights(hamiltonian, vec, t), t)[0]
 
 
 def insertion_gain(
@@ -233,14 +256,15 @@ def insertion_gain(
     """
     if k < 1:
         raise ValueError("order index is 1-based")
-    vec = as_levels(levels)
-    count_k = vec.level(k)
+    counts = checked_levels(hamiltonian, levels).levels
+    count_k = counts[k - 1] if k <= len(counts) else 0
     if count_k >= hamiltonian.num_terms:
         raise ValueError(f"order {k} already contains all {hamiltonian.num_terms} terms")
     if t is None:
         t = t_infinity(hamiltonian)
-
-    weights = order_weights(hamiltonian, vec, t, unit_order=k)
+    if k > len(counts):
+        counts += (0,) * (k - len(counts))
+    weights = _extend_weights([1.0], hamiltonian.prefix, counts, t, unit_order=k)
     return hamiltonian.terms[count_k].alpha * _sum_in_order(weights[k:])
 
 
@@ -269,27 +293,9 @@ def solve_t_root(
     return min((lo, hi), key=lambda t: abs(s_value(hamiltonian, vec, t) - 2.0))
 
 
-def _gain_estimates(
-    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float
-) -> list[tuple[int, float]]:
-    """``(k, gain estimate)`` for each order open to the contiguous ``counts``, ascending in k.
-
-    With ``Lambda_k`` counted as 1 the weights from order ``k`` on are
-    ``w_nu / Lambda_k``, so a nonfull order ``k <= K`` gains about
-    ``alpha_{L_k+1} * S_k / Lambda_k`` with suffix sum ``S_k = sum_{nu>=k} w_nu``,
-    and the next empty order gains ``alpha_1 * w_K * t / (K+1)``.
-    """
-    terms, prefix, num_terms = hamiltonian.terms, hamiltonian.prefix, hamiltonian.num_terms
-    top = len(counts)
-    estimates = [(top + 1, terms[0].alpha * (weights[top] * (t / (top + 1))))]
-    suffix = 0.0
-    for k in range(top, 0, -1):
-        suffix += weights[k]
-        count = counts[k - 1]
-        if count < num_terms:
-            estimates.append((k, terms[count].alpha * (suffix / prefix[count])))
-    estimates.reverse()
-    return estimates
+def _json_array(items: str) -> str:
+    """A depth-1 array in ``json.dumps(..., indent=2)`` layout from its ``",\\n"``-joined items."""
+    return f"[\n{items}\n  ]" if items else "[]"
 
 
 @dataclass(frozen=True)
@@ -326,16 +332,21 @@ class PlanTrace:
         return vec
 
     def to_json(self) -> str:
-        payload = {
-            "hamiltonian": self.hamiltonian_id,
-            "t": self.t,
-            "steps": [
-                {"k": s.chosen_k, "gain": s.gain, "epsilon": s.epsilon_after, "cost": s.cost_after}
-                for s in self.steps
-            ],
-            "final_levels": list(self.final.levels),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        """The bytes of ``json.dumps(payload, indent=2) + "\\n"`` for the payload of ``hamiltonian``,
+        ``t``, ``steps`` (``k``, ``gain``, ``epsilon``, ``cost``) and ``final_levels``, written
+        directly (the stdlib encoder runs in pure Python under ``indent``): ``float.__repr__``
+        for the finite floats, ``json.dumps`` only for the label."""
+        num = float.__repr__  # as the stdlib writes floats, numpy's included
+        steps = ",\n".join(
+            f'    {{\n      "k": {s.chosen_k},\n      "gain": {num(s.gain)},\n'
+            f'      "epsilon": {num(s.epsilon_after)},\n      "cost": {s.cost_after}\n    }}'
+            for s in self.steps
+        )
+        levels = ",\n".join(f"    {v}" for v in self.final.levels)
+        return (
+            f'{{\n  "hamiltonian": {json.dumps(self.hamiltonian_id)},\n  "t": {num(self.t)},\n'
+            f'  "steps": {_json_array(steps)},\n  "final_levels": {_json_array(levels)}\n}}\n'
+        )
 
     def to_csv(self) -> str:
         lines = ["step,k,gain,epsilon,cost"]
@@ -356,12 +367,13 @@ def greedy_plan(
     the error bound drops to ``target_epsilon``.  Exactly one stopping rule
     must be given.  Each step records, and stops on, :func:`epsilon_bound`.
 
-    A step costs O(K) for ``K`` populated orders: one weight pass estimates
-    every order's gain, and :func:`insertion_gain` confirms only the orders
-    whose estimate lies within ``_GAIN_SCREEN_RTOL`` (relative) or, for gains
-    near underflow, ``_GAIN_SCREEN_ATOL`` of the best: about one call per
-    step.  Choices and recorded gains are those of calling
-    :func:`insertion_gain` for every order.
+    A step costs O(K) for ``K`` populated orders.  The order weights are kept
+    across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.  One
+    reverse scan gives the bound and every order's gain estimate, and
+    :func:`insertion_gain` confirms only the orders whose estimate lies within
+    ``_GAIN_SCREEN_RTOL`` (relative) or, for gains near underflow,
+    ``_GAIN_SCREEN_ATOL`` of the best: about one call per step.  Choices and
+    recorded gains are those of calling :func:`insertion_gain` for every order.
 
     Raises :class:`ConvergenceError` if ``target_epsilon`` is still
     unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
@@ -378,14 +390,13 @@ def greedy_plan(
     screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
 
     counts: list[int] = []
+    weights = [1.0]
     steps: list[PlanStep] = []
     chosen = None
 
     while True:
-        # the step's weight pass also gives the bound after the previous step
-        current = TruncationVector(levels=tuple(counts))
-        weights = order_weights(hamiltonian, current, t)
-        epsilon = _omitted_mass(hamiltonian, counts, weights, t)
+        # the step's scan also gives the bound after the previous step
+        epsilon, estimates, best = _scan(hamiltonian, counts, weights, t)
         if chosen is not None:
             steps.append(PlanStep(*chosen, epsilon_after=epsilon, cost_after=len(steps) + 1))
         if budget is not None and len(steps) >= budget:
@@ -397,8 +408,7 @@ def greedy_plan(
                 f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}"
             )
 
-        estimates = _gain_estimates(hamiltonian, counts, weights, t)
-        best = max(estimate for _, estimate in estimates)
+        current = TruncationVector(levels=tuple(counts))
         floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
         best_k = 0
         best_gain = 0.0
@@ -418,11 +428,13 @@ def greedy_plan(
         if best_k > len(counts):
             counts.append(0)
         counts[best_k - 1] += 1
+        del weights[best_k:]  # orders below best_k keep their weights
+        _extend_weights(weights, hamiltonian.prefix, counts, t)
         chosen = (best_k, best_gain)
 
     return PlanTrace(
         hamiltonian_id=hamiltonian.label or "<unnamed>",
         t=t,
         steps=tuple(steps),
-        final=current,
+        final=TruncationVector(levels=tuple(counts)),
     )

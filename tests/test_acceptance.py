@@ -56,8 +56,10 @@ def criterion(name: str):
 
 
 def uniform_hamiltonian(num_terms: int, alpha: float = 0.37) -> SortedHamiltonian:
+    """``num_terms`` distinct strings, the base-4 digits of the term index, of equal weight."""
+    width = max(3, ((num_terms - 1).bit_length() + 1) // 2)
     terms = [
-        HamiltonianTerm(alpha=alpha, op=PauliString(axes="".join("IXYZ"[(i + j) % 4] for j in range(3))))
+        HamiltonianTerm(alpha=alpha, op=PauliString(axes="".join("IXYZ"[(i >> 2 * j) & 3] for j in range(width))))
         for i in range(num_terms)
     ]
     return SortedHamiltonian.from_terms(terms)

@@ -125,6 +125,20 @@ def test_exact_evolution_rejects_non_hermitian():
         exact_evolution(ham, 0.1)
 
 
+def test_exact_evolution_accepts_cancelling_imaginary_terms_built_through_the_api():
+    # H = Z + 0.5i X - 0.5i X is Hermitian once the repeated X terms merge
+    terms = [
+        HamiltonianTerm(alpha=1.0, op=PauliString("Z")),
+        HamiltonianTerm(alpha=0.5, op=PauliString("X", 1j)),
+        HamiltonianTerm(alpha=0.5, op=PauliString("X", -1j)),
+    ]
+    with pytest.warns(UserWarning):  # merged, and the X sum dropped
+        ham = SortedHamiltonian.from_terms(terms)
+    assert [(t.alpha, t.op.axes) for t in ham.terms] == [(1.0, "Z")]
+    expected = scipy.linalg.expm(-0.4j * np.diag([1.0, -1.0]))
+    assert np.abs(exact_evolution(ham, 0.4) - expected).max() <= 1e-12
+
+
 # ------------------------------------------------------- truncated series
 
 

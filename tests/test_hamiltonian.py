@@ -10,6 +10,7 @@ from lcutrunc.errors import TermListError
 from lcutrunc.hamiltonian import (
     HamiltonianTerm,
     PauliString,
+    SortedHamiltonian,
     format_term_list,
     logspread_hamiltonian,
     parse_hamiltonian,
@@ -120,11 +121,37 @@ def test_cancelling_strings_are_dropped():
     assert any("dropped 1 term" in m for m in messages)
     with pytest.raises(TermListError, match="no usable terms"), pytest.warns(UserWarning):
         parse_hamiltonian("0.5 X\n-0.5 X")
+    # tiny lines and cancelled sums are dropped by different stages, each counted once
+    with pytest.warns(UserWarning) as record:
+        parse_hamiltonian("1e-16 Y\n1 Z\n1 X\n-1 X\n0 Y")
+    messages = [str(w.message) for w in record]
+    assert "dropped 2 line(s) with |coefficient| < 1e-15" in messages
+    assert "dropped 1 term(s) with |coefficient| < 1e-15" in messages
 
 
 def test_merged_sum_with_a_general_phase_names_the_string():
     with pytest.raises(TermListError, match="Pauli string ZX: .*neither real nor pure-imaginary"):
         parse_hamiltonian("1 IY\n1 ZX\n0.5i ZX")
+
+
+def test_from_terms_merges_repeated_strings_like_the_parser():
+    def term(alpha, axes, phase=1 + 0j):
+        return HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase))
+
+    with pytest.warns(UserWarning) as record:
+        ham = SortedHamiltonian.from_terms(
+            [term(1.0, "ZZ"), term(0.5, "XI"), term(1.0, "ZZ", -1 + 0j), term(0.25, "XI")]
+        )
+    assert [(t.alpha, t.op.axes) for t in ham.terms] == [(0.75, "XI")]
+    messages = [str(w.message) for w in record]
+    assert messages == [
+        "merged repeated lines of 2 Pauli string(s) by summing their coefficients",
+        "dropped 1 term(s) with |coefficient| < 1e-15",
+    ]
+    with pytest.raises(TermListError, match="Pauli string XI: .*neither real nor pure-imaginary"):
+        SortedHamiltonian.from_terms([term(0.5, "XI"), term(0.5, "XI", 1j)])
+    with pytest.raises(TermListError, match="no usable terms"), pytest.warns(UserWarning):
+        SortedHamiltonian.from_terms([term(0.5, "XI"), term(0.5, "XI", -1 + 0j)])
 
 
 def test_zero_alpha_rejected_at_type_level():

@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcutrunc import planner
 from lcutrunc.errors import ConvergenceError
@@ -33,14 +33,16 @@ from lcutrunc.planner import (
     t_infinity,
 )
 
-from util import omitted_mass_oracle, random_contiguous_levels, random_pauli_hamiltonian
+from util import omitted_mass_oracle, plan_json_oracle, random_contiguous_levels, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
 
 def uniform_hamiltonian(num_terms: int, alpha: float = 0.37) -> SortedHamiltonian:
+    """``num_terms`` distinct strings, the base-4 digits of the term index, of equal weight."""
+    width = max(2, ((num_terms - 1).bit_length() + 1) // 2)
     terms = [
-        HamiltonianTerm(alpha=alpha, op=PauliString(axes="".join("IXYZ"[(i + j) % 4] for j in range(2))))
+        HamiltonianTerm(alpha=alpha, op=PauliString(axes="".join("IXYZ"[(i >> 2 * j) & 3] for j in range(width))))
         for i in range(num_terms)
     ]
     return SortedHamiltonian.from_terms(terms)
@@ -365,29 +367,30 @@ def screen_cases():
     spread = [logspread_hamiltonian(terms, decades, 4, seed=terms)
               for terms, decades in ((12, 4.0), (7, 1.0), (20, 8.0))]
     spread += [random_pauli_hamiltonian(rng, 3, int(rng.integers(2, 16)), decades=5.0) for _ in range(4)]
-    cases = [(f"spread-{i}", ham, 13 * ham.num_terms) for i, ham in enumerate(spread)]
-    cases += [(f"uniform-{n}", uniform_hamiltonian(n), 7 * n) for n in (1, 3, 6)]
-    cases.append(("two-term", parse_hamiltonian("1.0 ZI\n0.1 XX", label="two-term"), 40))
+    cases = [(f"spread-{i}", ham, 13 * ham.num_terms, 1e-15) for i, ham in enumerate(spread)]
+    # the reduced plan-large input: thousands of steps over 10+ orders
+    cases.append(("plan-large-small", logspread_hamiltonian(200, 6.0, 8, seed=100), 800, 1e-10))
+    cases += [(f"uniform-{n}", uniform_hamiltonian(n), 7 * n, 1e-12) for n in (1, 3, 6)]
+    cases.append(("two-term", parse_hamiltonian("1.0 ZI\n0.1 XX", label="two-term"), 40, 1e-12))
     # gains of two orders a few ulps apart whose estimates rank them the
     # other way round (orders 1 and 2 at step 4, 5 and 6 at step 15, 8 and 9
     # at step 24); only the confirmation picks the reference's order
     for i, alpha in enumerate((0.07835883772309095, 0.10675748369033093, 0.07292548676486313)):
-        cases.append((f"near-tie-{i}", parse_hamiltonian(f"1.0 ZZ\n{alpha!r} XX\n0.3 XY"), 40))
+        cases.append((f"near-tie-{i}", parse_hamiltonian(f"1.0 ZZ\n{alpha!r} XX\n0.3 XY"), 40, 1e-12))
     # deep enough that the last order weights fall below the smallest normal
     # float, where rounding is absolute and a relative screen alone picks
     # order 165 over the reference's 163 at step 656
     subnormal = parse_hamiltonian("1.805068619253194e-05 XX\n1.803315903513268 YX\n1.0 ZX\n1.0 IX")
-    return cases + [("subnormal-weights", subnormal, 658)]
+    return cases + [("subnormal-weights", subnormal, 658, None)]
 
 
 SCREEN_CASES = screen_cases()
 
 
-@pytest.mark.parametrize("name, ham, budget", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
-def test_screened_greedy_equals_the_every_order_reference(name, ham, budget):
+@pytest.mark.parametrize("name, ham, budget, target", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
+def test_screened_greedy_equals_the_every_order_reference(name, ham, budget, target):
     assert greedy_plan(ham, budget=budget).steps == reference_greedy_steps(ham, budget=budget)
-    if ham.num_terms > 1 and not name.startswith("subnormal"):
-        target = 1e-15 if name.startswith("spread") else 1e-12
+    if ham.num_terms > 1 and target is not None:
         trace = greedy_plan(ham, target_epsilon=target)
         assert max(trace.final.levels) == ham.num_terms
         assert trace.steps == reference_greedy_steps(ham, target_epsilon=target)
@@ -400,7 +403,9 @@ def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     worst = 0.0
     for cost in range(len(trace.steps)):
         vec = trace.levels_at_cost(cost)
-        estimates = planner._gain_estimates(ham, vec.levels, planner.order_weights(ham, vec, t), t)
+        epsilon, estimates, best = planner._scan(ham, vec.levels, planner.order_weights(ham, vec, t), t)
+        assert epsilon == epsilon_bound(ham, vec)
+        assert best == max(estimate for _, estimate in estimates)
         expected = [k for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms]
         assert [k for k, _ in estimates] == expected
         for k, estimate in estimates:
@@ -449,6 +454,37 @@ def test_trace_serialization_round_trip(two_term):
     rows = list(csv_module.DictReader(io.StringIO(trace.to_csv())))
     assert [int(r["k"]) for r in rows] == [1, 2, 1]
     assert float(rows[1]["gain"]) == trace.steps[1].gain
+
+
+_SPECIAL_FLOATS = (0.0, 5e-324, 1e-300, 1.0)
+
+
+@st.composite
+def _plan_traces(draw):
+    """Traces with any label, finite floats (the special ones often, numpy's too), and possibly no steps or levels."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), finite, finite.map(np.float64))
+    specials = st.sampled_from(["<unnamed>", '"', "\\", "é", "\x00\n\t\x1f"])
+    label = draw(st.one_of(specials, st.text(st.characters(codec="utf-8"))))
+    step = st.builds(planner.PlanStep, st.integers(1, 200), floats, floats, st.integers(1, 10**6))
+    steps = draw(st.lists(step, max_size=5))
+    levels = draw(st.lists(st.integers(1, 10**6), max_size=5))
+    return planner.PlanTrace(label, draw(floats), tuple(steps), TruncationVector(tuple(levels)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_plan_traces())
+@example(planner.PlanTrace('q"b\\s é \x07', 5e-324, (), TruncationVector(())))
+@example(planner.PlanTrace("<unnamed>", 1e-300, (planner.PlanStep(1, 0.0, 1.0, 1),), TruncationVector((1,))))
+def test_trace_json_is_the_stdlib_encoding_byte_for_byte(trace):
+    assert trace.to_json() == plan_json_oracle(trace)
+
+
+def test_plan_large_target_trace_json_is_the_stdlib_encoding():
+    ham = logspread_hamiltonian(1000, 6.0, 16, seed=100)
+    trace = greedy_plan(ham, target_epsilon=1e-12)
+    assert len(trace.steps) > 10_000
+    assert trace.to_json() == plan_json_oracle(trace)
 
 
 # ---------------------------------------------------------------- roots
@@ -531,6 +567,29 @@ def test_s_value_monotone_in_levels_and_t():
             assert s_value(ham, bumped, t) >= base
         assert s_value(ham, levels, 1.5 * t) > base
         assert 0.0 <= epsilon_bound(ham, levels) <= 1.0
+
+
+@settings(derandomize=True, deadline=None)
+@given(_weights_and_levels(), st.floats(0.0, 4.0), st.floats(1.0, 2.0))
+def test_s_value_is_monotone_in_each_level_and_in_t(case, scale, growth):
+    text, levels = case
+    ham = parse_hamiltonian(text)
+    t = scale * t_infinity(ham)
+    base = s_value(ham, levels, t)
+    vec = TruncationVector.from_levels(levels)
+    for k in range(1, len(vec) + 2):
+        if vec.level(k) < ham.num_terms:
+            assert s_value(ham, vec.bump(k), t) >= base
+    assert s_value(ham, levels, growth * t) >= base
+
+
+@settings(derandomize=True, deadline=None)
+@given(_weights_and_levels())
+def test_greedy_bound_is_at_most_the_full_order_bound_at_equal_cost(case):
+    ham = parse_hamiltonian(case[0])
+    plan = greedy_plan(ham, budget=3 * ham.num_terms)
+    for n in (1, 2, 3):
+        assert plan.epsilon_at_cost(n * ham.num_terms) <= epsilon_bound(ham, full_order_levels(ham, n))
 
 
 def test_full_order_epsilon_matches_partial_exponential_series():

@@ -4,6 +4,7 @@ The matrix helpers here are intentionally independent of the package's own
 dense constructions so they can serve as oracles.
 """
 
+import json
 from decimal import Decimal, Inexact, localcontext
 from functools import reduce
 
@@ -169,3 +170,17 @@ def omitted_mass_oracle(text: str, levels) -> Decimal:
             total += term
             if nu > len(live) and term < total * Decimal("1e-45"):
                 return total
+
+
+def plan_json_oracle(trace) -> str:
+    """A plan trace as the stdlib encoder writes it: ``json.dumps(payload, indent=2)`` and a newline."""
+    payload = {
+        "hamiltonian": trace.hamiltonian_id,
+        "t": trace.t,
+        "steps": [
+            {"k": s.chosen_k, "gain": s.gain, "epsilon": s.epsilon_after, "cost": s.cost_after}
+            for s in trace.steps
+        ],
+        "final_levels": list(trace.final.levels),
+    }
+    return json.dumps(payload, indent=2) + "\n"
