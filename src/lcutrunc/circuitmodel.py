@@ -7,6 +7,9 @@ tensor factors ordered ``q, c_1, ..., c_kappa, system``, so the block of an
 operator between ancilla-zero states is simply its top-left system-sized
 submatrix.  The select is block diagonal over ancilla basis states and is
 kept as its stack of system-sized diagonal blocks, never as a full matrix.
+The identity checks read the prepare only through its first column ``p``:
+the prepare, the reflection about ancilla zero and the prepare's adjoint
+together act as ``2(p p†)⊗I − I``.
 
 This module verifies operator semantics, not gate decompositions: the
 prepare unitary is any orthonormal completion of its specified first column,
@@ -165,7 +168,8 @@ def build_prepare(
 
     prepare = factors[0]
     for factor in factors[1:]:
-        prepare = np.kron(prepare, factor)
+        # np.kron as one broadcast product
+        prepare = (prepare[:, None, :, None] * factor[:, None]).reshape(len(prepare) * len(factor), -1)
     return prepare
 
 
@@ -181,61 +185,42 @@ def build_select(
     which keeps the operator unitary without affecting the verified block.
     Rows ``a * 2^n`` to ``(a + 1) * 2^n`` of the ``(d, 2^n)`` result hold the
     block of ancilla state ``a``, for total dimension d and n system qubits.
+    The products of order k are one batched product over the index registers
+    ``c_1..c_k``, from those of order k - 1 and the factor stack of register
+    ``c_k``: ``-i h_l`` for ``l < L_k`` and the identity past it.
     """
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
 
-    applied = [-1j * pauli_string_matrix(term.op) for term in hamiltonian.terms]
-    order_of_unary = {_unary_index(k, layout.kappa): k for k in range(layout.kappa + 1)}
-    c_dims = [2**width for width in layout.c_widths]
-
-    blocks = np.empty((layout.ancilla_dim, sys_dim, sys_dim), dtype=complex)
-    for ancilla in range(layout.ancilla_dim):
-        remainder = ancilla
-        indices = []
-        for dim in reversed(c_dims):
-            remainder, index = divmod(remainder, dim)
-            indices.insert(0, index)
-        order = order_of_unary.get(remainder)
-
-        block = np.eye(sys_dim, dtype=complex)
-        if order is not None:
-            for m in range(order):
-                if indices[m] < vec.levels[m]:
-                    block = block @ applied[indices[m]]
-        blocks[ancilla] = block
+    # stack[0] is the identity and stack[l + 1] is -i h_l
+    stack = np.array([np.eye(sys_dim)] + [-1j * pauli_string_matrix(term.op) for term in hamiltonian.terms])
+    c_dims = tuple(2**width for width in layout.c_widths)
+    blocks = np.broadcast_to(stack[0], (2**layout.kappa, *c_dims, sys_dim, sys_dim)).copy()
+    products = stack[0]
+    for k, (count, dim) in enumerate(zip(vec.levels, c_dims), start=1):
+        index = np.arange(dim)
+        products = np.matmul(products[..., None, :, :], stack[np.where(index < count, index + 1, 0)])
+        # registers past order k are inert: broadcast over their axes
+        blocks[_unary_index(k, layout.kappa)] = np.expand_dims(products, tuple(range(k, layout.kappa)))
     return blocks.reshape(-1, sys_dim)
 
 
-def _walk_apply(prepare: np.ndarray, select: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``W @ block`` for ``W = (P†⊗I)·S·(P⊗I)``, never forming W or a d×d S.
-
-    ``P⊗I`` acts on the ancilla index by a reshape, and ``S`` (stacked as
-    :func:`build_select` returns it) block by block in one batched product.
-    """
-    shape = block.shape
-    ancilla_dim, sys_dim = prepare.shape[0], select.shape[1]
-
-    def on_ancilla(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return (matrix @ rows.reshape(ancilla_dim, -1)).reshape(shape)
-
-    lifted = on_ancilla(prepare, block).reshape(ancilla_dim, sys_dim, -1)
-    selected = np.matmul(select.reshape(ancilla_dim, sys_dim, sys_dim), lifted)
-    return on_ancilla(prepare.conj().T, selected)
+def _select_apply(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``S @ z`` for ``z`` of shape ``(2^A, 2^n, c)``, in one batched product."""
+    return np.matmul(blocks, z)
 
 
-def _amplify(
-    prepare: np.ndarray, select: np.ndarray, walk_columns: np.ndarray, sys_dim: int
-) -> np.ndarray:
-    """``−W·R·W†·R`` applied to columns of W; R flips the sign of rows past ``sys_dim``."""
-    adjoint = select.reshape(-1, sys_dim, sys_dim).conj().transpose(0, 2, 1).reshape(select.shape)
-    reflected = walk_columns.copy()
-    reflected[sys_dim:] *= -1
-    back = _walk_apply(prepare, adjoint, reflected)
-    back[sys_dim:] *= -1
-    return -_walk_apply(prepare, select, back)
+def _reflect(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``M @ z`` for ``M = (P⊗I)·R·(P†⊗I) = 2(p p†)⊗I − I``, with ``p = P[:, 0]``."""
+    return 2.0 * p[:, None, None] * np.tensordot(p.conj(), z, axes=1) - z
+
+
+def _amplified(blocks: np.ndarray, p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``S·M·S†·M @ z``; for ``z = S·(P⊗I)`` that is ``(P⊗I)·W·R·W†·R·W``."""
+    back = _select_apply(blocks.conj().transpose(0, 2, 1), _reflect(p, z))
+    return _select_apply(blocks, _reflect(p, back))
 
 
 def build_walk_operators(
@@ -245,9 +230,11 @@ def build_walk_operators(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble (W, R, A): the sandwich, the reflection, and one amplified step.
 
-    All three are dense on ancilla ⊗ system, so this costs O(d³) in the total
-    dimension d; ``verify_identities`` needs only their ancilla-zero columns
-    and does not call it.
+    All three are dense on ancilla ⊗ system, so this costs O(d²·(2^A + 2^n))
+    for total dimension d, A ancilla and n system qubits; ``verify_identities``
+    needs only their ancilla-zero columns and does not call it.  The dense
+    ``P⊗I`` and ``P†⊗I`` act only at the two ends; in between, the walk uses
+    the same helpers as ``verify_identities``.
     """
     vec = _contiguous_levels(levels)
     layout = layout_for(vec)
@@ -256,14 +243,14 @@ def build_walk_operators(
     total_dim = layout.ancilla_dim * sys_dim
 
     prepare = build_prepare(hamiltonian, vec, t)
-    select = build_select(hamiltonian, vec)
-    walk = _walk_apply(prepare, select, np.eye(total_dim, dtype=complex))
+    blocks = build_select(hamiltonian, vec).reshape(-1, sys_dim, sys_dim)
+    z = _select_apply(blocks, np.kron(prepare, np.eye(sys_dim)).reshape(-1, sys_dim, total_dim))
 
-    diagonal = -np.ones(total_dim)
-    diagonal[:sys_dim] = 1.0
-    reflection = np.diag(diagonal).astype(complex)
+    def lowered(columns: np.ndarray) -> np.ndarray:
+        return (prepare.conj().T @ columns.reshape(layout.ancilla_dim, -1)).reshape(total_dim, total_dim)
 
-    return walk, reflection, _amplify(prepare, select, walk, sys_dim)
+    reflection = np.diag(np.where(np.arange(total_dim) < sys_dim, 1.0, -1.0)).astype(complex)
+    return lowered(z), reflection, -lowered(_amplified(blocks, prepare[:, 0], z))
 
 
 @dataclass(frozen=True)
@@ -294,15 +281,16 @@ def verify_identities(
     """Check the two block identities of the construction.
 
     The ancilla-zero block of W must equal the truncated sum divided by its
-    normalization; the same block of A must equal the amplified operator.
-    Both reference operators are built independently by the dense simulator.
-    Only the ancilla-zero columns of W and A are formed, by thin products
-    with the prepare matrix and the select's diagonal blocks.  For total
-    dimension d, A ancilla and n system qubits that costs O(d·2^n·(2^A + 2^n))
-    rather than the O(d³) of forming W and A, and no d×d array is held.
-    The normalization is read back from the same prepare unitary's corner
-    entry, ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index
-    registers that have qubits, and compared with ``s``.
+    normalization; the same block of A must equal the amplified operator,
+    both built independently by the dense simulator.  The blocks read the
+    prepare only through ``p = P[:, 0]``: with ``z = S·(p⊗I)`` the walk block
+    is ``(p†⊗I)·z`` and the amplified block ``−(p†⊗I)·S·M·S†·M·z``, where
+    ``M = (P⊗I)·R·(P†⊗I) = 2(p p†)⊗I − I``.  For total dimension d and n
+    system qubits that costs O(d·4^n) in block products plus O(d·2^n) in
+    contractions with p; no product with P is formed and no d×d array is held.
+    The normalization is read back from the same prepare's corner entry,
+    ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index registers
+    that have qubits, and compared with ``s``.
     """
     vec = _contiguous_levels(levels)
     if t is None:
@@ -310,10 +298,11 @@ def verify_identities(
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
-    prepare = build_prepare(hamiltonian, vec, t)
-    select = build_select(hamiltonian, vec)
-    walk_columns = _walk_apply(prepare, select, np.eye(select.shape[0], sys_dim, dtype=complex))
-    amplified_columns = _amplify(prepare, select, walk_columns, sys_dim)
+    p = build_prepare(hamiltonian, vec, t)[:, 0]
+    blocks = build_select(hamiltonian, vec).reshape(-1, sys_dim, sys_dim)
+    z = p[:, None, None] * blocks
+    walk_block = np.tensordot(p.conj(), z, axes=1)
+    amplified_block = -np.tensordot(p.conj(), _amplified(blocks, p, z), axes=1)
 
     truncated = truncated_series_operator(hamiltonian, vec, t)
     s = s_value(hamiltonian, vec, t)
@@ -325,12 +314,12 @@ def verify_identities(
         for count, width in zip(vec.levels, layout.c_widths)
         if width > 0
     )
-    normalization = index_mass / float(abs(prepare[0, 0])) ** 2
+    normalization = index_mass / float(abs(p[0])) ** 2
 
     return IdentityReport(
         levels=vec,
         t=t,
-        walk_block_residual=operator_norm(walk_columns[:sys_dim] - truncated / s),
-        amplified_block_residual=operator_norm(amplified_columns[:sys_dim] - reference_amplified),
+        walk_block_residual=operator_norm(walk_block - truncated / s),
+        amplified_block_residual=operator_norm(amplified_block - reference_amplified),
         normalization_error=abs(normalization - s),
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,15 +80,22 @@ def _symplectic(op: PauliString) -> tuple[int, int, complex]:
     return x, z, op.phase * _I_POWERS[n_y % 4]
 
 
-def _add_paulis(matrix: np.ndarray, weighted: Iterable[tuple[float, PauliString]]) -> None:
-    """Add ``weight * P`` to ``matrix`` in place for each pair, in the given order."""
-    dim = matrix.shape[0]
+@lru_cache(maxsize=None)
+def _columns_and_signs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices ``c`` and ``(-1)**popcount(c)`` for ``c < dim``, read-only."""
     columns = np.arange(dim)
     # the low bit of the xor of all shifts of c is popcount(c) mod 2
     parity = np.zeros(dim, dtype=columns.dtype)
     for shift in range(dim.bit_length() - 1):
         parity ^= columns >> shift
     signs = 1.0 - 2.0 * (parity & 1)
+    columns.flags.writeable = signs.flags.writeable = False
+    return columns, signs
+
+
+def _add_paulis(matrix: np.ndarray, weighted: Iterable[tuple[float, PauliString]]) -> None:
+    """Add ``weight * P`` to ``matrix`` in place for each pair, in the given order."""
+    columns, signs = _columns_and_signs(matrix.shape[0])
     for weight, op in weighted:
         x, z, unit = _symplectic(op)
         matrix[columns ^ x, columns] += (weight * unit) * signs[columns & z]

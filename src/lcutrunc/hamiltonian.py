@@ -72,8 +72,10 @@ class HamiltonianTerm:
     op: PauliString
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"term weight must be strictly positive, got {self.alpha}")
+        # a plain float, so numpy scalars never reach the text writers as np.float64(...)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"term weight must be finite and strictly positive, got {self.alpha}")
 
     @property
     def coefficient(self) -> complex:
@@ -239,14 +241,13 @@ def random_hamiltonian(
     The Pauli strings (including their phases) are taken from ``template``;
     the result is re-sorted.  Deterministic for a fixed seed.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
-    terms = [
-        HamiltonianTerm(alpha=float(a), op=term.op)
-        for a, term in zip(draws, template.terms)
-    ]
+    terms = [HamiltonianTerm(alpha=a, op=term.op) for a, term in zip(draws, template.terms)]
     return SortedHamiltonian.from_terms(terms, label=f"{template.label}+random" if template.label else "random")
 
 
@@ -261,12 +262,15 @@ def logspread_hamiltonian(
     """
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
-    if decades < 0:
-        raise ValueError("decades must be nonnegative")
+    if not (math.isfinite(decades) and decades >= 0):
+        raise ValueError(f"decades must be finite and nonnegative, got {decades}")
     if num_terms > 4**qubit_count:
         raise ValueError(
             f"cannot draw {num_terms} distinct Pauli strings on {qubit_count} qubit(s)"
         )
+    alphas = [1.0] if num_terms == 1 else [10.0 ** (-decades * l / (num_terms - 1)) for l in range(num_terms)]
+    if alphas[-1] == 0.0:
+        raise ValueError(f"decades {decades} is too large: the smallest weight 10**-decades underflows to 0")
     rng = np.random.default_rng(seed)
     chosen: set[int] = set()
     codes: list[int] = []
@@ -276,8 +280,7 @@ def logspread_hamiltonian(
             chosen.add(code)
             codes.append(code)
     terms = []
-    for l, code in enumerate(codes):
-        alpha = 1.0 if num_terms == 1 else 10.0 ** (-decades * l / (num_terms - 1))
+    for alpha, code in zip(alphas, codes):
         axes = ""
         for _ in range(qubit_count):
             axes += "IXYZ"[code % 4]

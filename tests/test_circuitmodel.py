@@ -304,19 +304,26 @@ def _oracle_instance(case):
             return ham, levels
 
 
-@pytest.mark.parametrize("case", [31, 32, 33, 34, "dim1024"])
-def test_thin_walk_products_match_the_dense_oracle(case):
-    ham, levels = _oracle_instance(case)
-    t = t_infinity(ham)
+def _dense_oracle_residuals(ham, levels, t, prepare):
+    """The dense oracle's (W, R, A) from ``prepare`` and its two block residuals."""
     sys_dim = 2**ham.qubit_count
-    walk, reflection, amplified = dense_walk_oracle(
-        build_prepare(ham, levels, t), dense_select_oracle(ham, levels), sys_dim
-    )
+    operators = dense_walk_oracle(prepare, dense_select_oracle(ham, levels), sys_dim)
+    walk, _, amplified = operators
     truncated = truncated_series_operator(ham, levels, t)
     s = s_value(ham, levels, t)
     walk_residual = np.linalg.norm(walk[:sys_dim, :sys_dim] - truncated / s, 2)
     amplified_residual = np.linalg.norm(
         amplified[:sys_dim, :sys_dim] - amplification_polynomial(truncated, s), 2
+    )
+    return operators, walk_residual, amplified_residual
+
+
+@pytest.mark.parametrize("case", [31, 32, 33, 34, "dim1024"])
+def test_thin_walk_products_match_the_dense_oracle(case):
+    ham, levels = _oracle_instance(case)
+    t = t_infinity(ham)
+    (walk, reflection, amplified), walk_residual, amplified_residual = _dense_oracle_residuals(
+        ham, levels, t, build_prepare(ham, levels, t)
     )
 
     report = verify_identities(ham, levels, t)
@@ -324,6 +331,29 @@ def test_thin_walk_products_match_the_dense_oracle(case):
     assert report.amplified_block_residual == pytest.approx(amplified_residual, abs=1e-14)
     for built, oracle in zip(build_walk_operators(ham, levels, t), (walk, reflection, amplified)):
         assert np.abs(built - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index"])
+def test_identities_read_only_the_prepare_first_column(case, monkeypatch):
+    # any unitary e^{iθ}·P·(1 ⊕ U) has the first column e^{iθ}·p and gives the
+    # same blocks; its complex p catches a missing conj() where build_prepare's real one does not
+    ham, levels = _oracle_instance(case)
+    t = t_infinity(ham)
+    prepare = build_prepare(ham, levels, t)
+    dim = prepare.shape[0]
+    rng = np.random.default_rng(41)
+    unitary, _ = np.linalg.qr(rng.normal(size=(dim - 1, dim - 1)) + 1j * rng.normal(size=(dim - 1, dim - 1)))
+    completion = np.eye(dim, dtype=complex)
+    completion[1:, 1:] = unitary
+    phased = np.exp(0.7j) * prepare @ completion
+    _, walk_residual, amplified_residual = _dense_oracle_residuals(ham, levels, t, phased)
+
+    monkeypatch.setattr(circuitmodel, "build_prepare", lambda *args: phased)
+    report = verify_identities(ham, levels, t)
+    assert report.walk_block_residual == pytest.approx(walk_residual, abs=1e-14)
+    assert report.amplified_block_residual == pytest.approx(amplified_residual, abs=1e-14)
+    assert max(report.walk_block_residual, report.amplified_block_residual) <= 1e-14
+    assert report.normalization_error <= 1e-12
 
 
 @pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index"])

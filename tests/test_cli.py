@@ -153,6 +153,38 @@ def test_gen_logspread(tmp_path):
     assert generated.terms[0].alpha == 1.0
 
 
+@pytest.mark.parametrize(
+    "decades, message",
+    [
+        ("nan", "decades must be finite and nonnegative, got nan"),
+        ("inf", "decades must be finite and nonnegative, got inf"),
+        ("1e6", "decades 1000000.0 is too large"),
+    ],
+)
+def test_gen_logspread_rejects_bad_decades(tmp_path, capsys, decades, message):
+    out = tmp_path / "spread.txt"
+    argv = ["gen-logspread", "--terms", "4", "--qubits", "2", "--seed", "1", "--decades", decades, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--mu", "nan", "mu must be finite, got nan"),
+        ("--mu", "inf", "mu must be finite, got inf"),
+        ("--sigma", "nan", "sigma must be finite and nonnegative, got nan"),
+        ("--sigma", "inf", "sigma must be finite and nonnegative, got inf"),
+    ],
+)
+def test_gen_random_rejects_non_finite_parameters(ham_file, tmp_path, capsys, option, value, message):
+    out = tmp_path / "random.txt"
+    assert main(["gen-random", "--template", str(ham_file), "--seed", "1", option, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_input_error(tmp_path, capsys):
     assert main(["plan", "--hamiltonian", str(tmp_path / "nope.txt"), "--budget", "1"]) == 2
 

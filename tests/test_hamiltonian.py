@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcutrunc.circuitmodel import verify_identities
+from lcutrunc.densesim import single_step_error
 from lcutrunc.errors import TermListError
 from lcutrunc.hamiltonian import (
     HamiltonianTerm,
@@ -16,6 +18,7 @@ from lcutrunc.hamiltonian import (
     parse_hamiltonian,
     random_hamiltonian,
 )
+from lcutrunc.planner import greedy_plan
 
 from util import matrix_from_raw, random_pauli_hamiltonian
 
@@ -159,6 +162,26 @@ def test_zero_alpha_rejected_at_type_level():
         HamiltonianTerm(alpha=0.0, op=PauliString(axes="Z"))
 
 
+def test_numpy_weights_write_the_same_bytes_as_python_floats():
+    def writers(weight_type):
+        ham = SortedHamiltonian.from_terms(
+            [HamiltonianTerm(alpha=weight_type(1.0), op=PauliString("ZI")),
+             HamiltonianTerm(alpha=weight_type(0.25), op=PauliString("XY", phase=-1 + 0j))]
+        )
+        assert all(type(term.alpha) is float for term in ham.terms)
+        return [
+            format_term_list(ham),
+            greedy_plan(ham, budget=3).to_csv(),
+            single_step_error(ham, (2, 1)).to_csv(),
+            verify_identities(ham, (2, 1)).to_csv(),
+        ]
+
+    numpy_outputs = writers(np.float64)
+    assert numpy_outputs == writers(float)
+    assert not any("np." in text for text in numpy_outputs)
+    assert format_term_list(parse_hamiltonian(numpy_outputs[0])) == numpy_outputs[0]
+
+
 def test_prefix_lambda_values(two_term):
     assert two_term.prefix_lambda(0) == 0.0
     assert two_term.prefix_lambda(1) == 1.0
@@ -285,6 +308,17 @@ def test_logspread_validation():
         logspread_hamiltonian(0, 1.0, 2, seed=1)
     with pytest.raises(ValueError):
         logspread_hamiltonian(5, 1.0, 1, seed=1)  # only 4 distinct strings on 1 qubit
+
+
+def test_logspread_rejects_decades_whose_smallest_weight_underflows():
+    assert logspread_hamiltonian(4, 323.0, 2, seed=1).terms[-1].alpha > 0.0
+    with pytest.raises(ValueError, match="decades 324.0 is too large"):
+        logspread_hamiltonian(4, 324.0, 2, seed=1)
+
+
+def test_non_finite_weight_rejected_at_type_level():
+    with pytest.raises(ValueError, match="finite"):
+        HamiltonianTerm(alpha=float("inf"), op=PauliString(axes="Z"))
 
 
 def test_sorting_invariant_on_generated_hamiltonians():
