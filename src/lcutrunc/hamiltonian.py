@@ -104,7 +104,8 @@ class SortedHamiltonian:
 
         Repeats are merged in order of first appearance by summing their coefficients, with
         one warning; sums below ``DROP_THRESHOLD`` are dropped with a warning.  Raises
-        :class:`TermListError` naming the string for a sum neither real nor pure-imaginary.
+        :class:`TermListError` naming the string for a sum neither real nor pure-imaginary,
+        and for weights whose sum overflows.
         """
         merged: dict[str, HamiltonianTerm] = {}
         sums: dict[str, complex] = {}  # coefficient sums of the repeated strings only
@@ -137,6 +138,8 @@ class SortedHamiltonian:
         if any(len(t.op) != qubit_count for t in ordered):
             raise TermListError("all Pauli strings must have equal length")
         prefix = tuple(accumulate((term.alpha for term in ordered), initial=0.0))
+        if not math.isfinite(prefix[-1]):
+            raise TermListError(f"the weights sum to {prefix[-1]}, past the largest float")
         suffix = tuple(accumulate((term.alpha for term in reversed(ordered)), initial=0.0))[::-1]
         return cls(
             terms=tuple(ordered),
@@ -245,6 +248,8 @@ def random_hamiltonian(
         raise ValueError(f"mu must be finite, got {mu}")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if mu == 0 and sigma == 0:
+        raise ValueError("mu and sigma are both 0, so every drawn weight would be 0")
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
     terms = [HamiltonianTerm(alpha=a, op=term.op) for a, term in zip(draws, template.terms)]

@@ -13,9 +13,9 @@ import io
 import json
 from dataclasses import dataclass
 
-from .densesim import _step_error, exact_evolution
+from .densesim import _StepErrors
 from .hamiltonian import SortedHamiltonian
-from .planner import epsilon_bound, full_order_levels, greedy_plan, t_infinity
+from .planner import epsilon_bound, full_order_levels, greedy_plan
 
 CSV_COLUMNS = (
     "n",
@@ -63,8 +63,8 @@ def generate_comparison_report(
     num_terms = hamiltonian.num_terms
     plan = greedy_plan(hamiltonian, budget=n_max * num_terms)
 
-    # one eigendecomposition serves every dense row
-    exact = exact_evolution(hamiltonian, t_infinity(hamiltonian)) if with_dense else None
+    # the rows share their spectral work, and each equals a standalone measurement
+    errors = _StepErrors(hamiltonian) if with_dense else None
 
     rows = []
     match_cost = 0
@@ -81,8 +81,8 @@ def generate_comparison_report(
 
         delta_full = delta_greedy = delta_ratio = None
         if with_dense:
-            delta_full = _step_error(hamiltonian, full_order_levels(hamiltonian, n), exact)
-            delta_greedy = _step_error(hamiltonian, plan.levels_at_cost(cost), exact)
+            delta_full = errors.measure(full_order_levels(hamiltonian, n))[0]
+            delta_greedy = errors.measure(plan.levels_at_cost(cost))[0]
             delta_ratio = delta_full / delta_greedy if delta_greedy > 0 else float("inf")
 
         rows.append(

@@ -78,6 +78,22 @@ def test_simulate_multi_step_csv(ham_file, tmp_path):
     assert len(lines) == 5
 
 
+def test_simulate_output_off_full_order_is_pinned_to_exact_bytes(ham_file, tmp_path):
+    # (2, 1) is not a full order, so it takes the series, amplification and SVD
+    # path, whose bytes must not move when the full-order path changes
+    expected = (
+        '{\n  "levels": [\n    2,\n    1\n  ],\n  "cost": 3,\n'
+        '  "epsilon": 0.0884650858408722,\n  "delta": 0.040911143987554965,\n  "r_steps": [\n'
+        '    {\n      "r": 1,\n      "error": 0.040911143987554965\n    },\n'
+        '    {\n      "r": 2,\n      "error": 0.07824403186602903\n    },\n'
+        '    {\n      "r": 3,\n      "error": 0.11173979570958076\n    }\n  ]\n}\n'
+    )
+    out = tmp_path / "sim.json"
+    argv = ["simulate", "--hamiltonian", str(ham_file), "--levels", "2,1", "--r-max", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("r_max", ["0", "-3"])
 def test_simulate_rejects_r_max_below_one(ham_file, r_max, capsys):
     assert main(["simulate", "--hamiltonian", str(ham_file), "--levels", "1", "--r-max", r_max]) == 2
@@ -182,6 +198,24 @@ def test_gen_random_rejects_non_finite_parameters(ham_file, tmp_path, capsys, op
     out = tmp_path / "random.txt"
     assert main(["gen-random", "--template", str(ham_file), "--seed", "1", option, value, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_random_rejects_zero_mu_and_sigma(ham_file, tmp_path, capsys):
+    out = tmp_path / "random.txt"
+    argv = ["gen-random", "--template", str(ham_file), "--seed", "1", "--mu", "0", "--sigma", "0", "--out", str(out)]
+    assert main(argv) == 2
+    assert "mu and sigma are both 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["bound", "--order", "2"], ["plan", "--budget", "3"], ["simulate", "--levels", "1"]])
+def test_overflowing_weight_sum_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "big.txt"
+    path.write_text("1.0 ZZ\n1e308 XX\n1e308 YY\n")
+    out = tmp_path / "out.json"
+    assert main([argv[0], "--hamiltonian", str(path), *argv[1:], "--out", str(out)]) == 2
+    assert "weights sum to inf" in capsys.readouterr().err
     assert not out.exists()
 
 

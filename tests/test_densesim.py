@@ -28,7 +28,7 @@ from lcutrunc.hamiltonian import (
 )
 from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan, s_value, t_infinity
 
-from util import kron_chain, matrix_from_raw, random_axes, random_pauli_hamiltonian
+from util import full_order_error_oracle, kron_chain, matrix_from_raw, random_axes, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -340,3 +340,66 @@ def test_amplified_error_bound_on_greedy_prefixes():
                 continue
             report = single_step_error(ham, levels)
             assert report.delta <= eps + 2 * eps**2
+
+
+# ------------------------------------------------------- full orders from the spectrum
+
+# Every string acts on one qubit, so the oracle has the spectrum in closed
+# form.  The dyadic weights sum to 2, so Lambda and t_inf are exact doubles.
+LOCAL_FIELDS = {
+    "dyadic": "0.5 XII\n-0.375 ZII\n0.25 IYI\n0.125 IZI\n0.5 IIX\n-0.0625 IIZ\n0.1875 III\n",
+    "decimal": "1.0 XII\n-0.3 ZII\n0.2 IYI\n0.07 IZI\n0.5 IIX\n-0.01 IIZ\n0.15 III\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_FIELDS))
+def test_full_order_errors_match_a_high_precision_oracle(name):
+    text = LOCAL_FIELDS[name]
+    ham = parse_hamiltonian(text)
+    deltas = []
+    for order in range(1, 20):
+        report = multi_step_error(ham, full_order_levels(ham, order), 3)
+        expected = full_order_error_oracle(text, order, 3)
+        for (r, error), exact in zip(report.r_steps, expected):
+            assert abs(error - exact) <= 1e-14 * exact, (order, r)
+        deltas.append(report.delta)
+    assert deltas[0] > 1e-1 and deltas[-1] < 1e-22
+
+
+def test_full_order_errors_meet_the_quadratic_bound_at_every_order():
+    # past order ~10 the bound is below the ~1e-15 that forming U - A densely leaves
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        ham = random_pauli_hamiltonian(rng, int(rng.integers(1, 6)), int(rng.integers(2, 5)))
+        for order in range(1, 21):
+            report = multi_step_error(ham, full_order_levels(ham, order), 3)
+            eps = report.epsilon
+            assert 0.0 < report.delta <= eps + 2 * eps**2, order
+            for r, error in report.r_steps:
+                assert error <= r * report.delta * (1 + 10 * r * report.delta), (order, r)
+
+
+def test_full_order_errors_come_from_the_eigenvalues_alone(two_term, monkeypatch):
+    import lcutrunc.densesim as densesim
+
+    t = t_infinity(two_term)
+    levels = full_order_levels(two_term, 2)
+    exact, amplified = exact_evolution(two_term, t), amplified_operator(two_term, levels, t)
+    dense = [
+        operator_norm(np.linalg.matrix_power(exact, r) - np.linalg.matrix_power(amplified, r))
+        for r in range(1, 5)
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full-order measurement formed a dense operator")
+
+    for name in ("exact_evolution", "truncated_series_operator", "amplification_polynomial", "operator_norm"):
+        monkeypatch.setattr(densesim, name, forbidden)
+    report = multi_step_error(two_term, levels, 4)
+    for (_, error), expected in zip(report.r_steps, dense):
+        assert error == pytest.approx(expected, rel=1e-12)
+
+
+def test_levels_past_an_empty_order_leave_a_full_order_measurement_unchanged(two_term):
+    padded, live = multi_step_error(two_term, (2, 0, 1), 3), multi_step_error(two_term, (2,), 3)
+    assert (padded.epsilon, padded.r_steps) == (live.epsilon, live.r_steps)

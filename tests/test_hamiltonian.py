@@ -92,6 +92,16 @@ def test_non_finite_coefficients_rejected():
         parse_hamiltonian("inf Z")
 
 
+def test_weights_whose_sum_overflows_are_rejected():
+    # each weight is finite, but Lambda is not
+    with pytest.raises(TermListError, match="weights sum to inf"):
+        parse_hamiltonian("1.0 ZZ\n1e308 XX\n1e308 YY")
+    big = PauliString(axes="X")
+    with pytest.raises(TermListError, match="weights sum to inf"):
+        SortedHamiltonian.from_terms([HamiltonianTerm(1.5e308, big), HamiltonianTerm(1.5e308, PauliString("Z"))])
+    assert parse_hamiltonian("1e308 XX\n7e307 YY").lambda_total == 1.7e308
+
+
 def test_tiny_terms_dropped_with_warning():
     with pytest.warns(UserWarning, match="dropped 1"):
         ham = parse_hamiltonian("1.0 Z\n1e-16 X")
@@ -267,6 +277,12 @@ def test_random_hamiltonian_sigma_zero_is_uniform(two_term):
     ham = random_hamiltonian(two_term, mu=0.7, sigma=0.0, seed=1)
     assert all(t.alpha == 0.7 for t in ham.terms)
     assert {t.op.axes for t in ham.terms} == {"ZI", "XX"}
+
+
+def test_random_hamiltonian_rejects_all_zero_draws_naming_both_parameters(two_term):
+    for mu in (0.0, -0.0):
+        with pytest.raises(ValueError, match="mu and sigma are both 0"):
+            random_hamiltonian(two_term, mu=mu, sigma=0.0, seed=1)
 
 
 def test_random_hamiltonian_deterministic(two_term):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -75,6 +76,41 @@ def test_dense_deltas_equal_single_step_errors():
     for row in rows:
         assert row.delta_full == single_step_error(ham, full_order_levels(ham, row.n)).delta
         assert row.delta_greedy == single_step_error(ham, plan.levels_at_cost(row.cost)).delta
+
+
+def test_uniform_dense_rows_equal_standalone_measurements():
+    # every greedy vector of a uniform Hamiltonian is a full order too
+    ham = uniform_hamiltonian(4)
+    rows = generate_comparison_report(ham, 4, with_dense=True)
+    for row in rows:
+        assert row.delta_full == row.delta_greedy == single_step_error(ham, full_order_levels(ham, row.n)).delta
+        assert row.delta_ratio == 1.0
+
+
+def test_dense_report_shares_its_spectral_work(monkeypatch):
+    import lcutrunc.densesim as densesim
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(densesim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name, kwargs.get("eigenvectors", True)] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_spectrum", "exact_evolution", "operator_norm"):
+        monkeypatch.setattr(densesim, name, counted(name))
+    generate_comparison_report(logspread_hamiltonian(8, 2, 3, 4), 3, with_dense=True)
+    # one eigvalsh for the full orders; one exact evolution, and a norm per row, for the greedy vectors
+    assert calls == {
+        ("_spectrum", False): 1,
+        ("exact_evolution", True): 1,
+        ("_spectrum", True): 1,
+        ("operator_norm", True): 3,
+    }
 
 
 def test_logspread_advantage_is_reported():

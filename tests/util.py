@@ -7,7 +7,9 @@ dense constructions so they can serve as oracles.
 import json
 from decimal import Decimal, Inexact, localcontext
 from functools import reduce
+from itertools import product
 
+import mpmath
 import numpy as np
 
 from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian
@@ -170,6 +172,50 @@ def omitted_mass_oracle(text: str, levels) -> Decimal:
             total += term
             if nu > len(live) and term < total * Decimal("1e-45"):
                 return total
+
+
+def full_order_error_oracle(text: str, order: int, r_max: int) -> list:
+    """``||U^r - A^r||`` for r = 1..r_max of the full expansion to ``order``, to 50 digits.
+
+    mpmath only.  Every string of the term-list ``text`` must be the identity
+    or act on a single qubit, with a real coefficient.  H is then a shift plus
+    commuting single-qubit fields ``b_q . sigma``, so its eigenvalues are
+    ``shift + sum_q +-|b_q|`` in closed form.  The full expansion's series is
+    a function of H, so ``U``, the series ``S`` and the amplified step ``A``
+    are scalars per eigenvalue, taken from their definitions at
+    ``t = ln 2 / Lambda``: ``U = exp(-i t lambda)``,
+    ``S = sum_{k<=order} (-i t lambda)^k / k!`` and
+    ``A = (3/s) S - (4/s^3) S conj(S) S`` with ``s = sum_{k<=order} ln(2)^k / k!``.
+    The weights are the exact values of the doubles in ``text``.
+    """
+    with mpmath.workdps(50):
+        shift, fields, lam = mpmath.mpf(0), {}, mpmath.mpf(0)
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            token, axes = line.split()
+            coefficient = mpmath.mpf(float(token))
+            lam += abs(coefficient)
+            acted = [q for q, axis in enumerate(axes) if axis != "I"]
+            if not acted:
+                shift += coefficient
+            elif len(acted) == 1:
+                fields[acted[0]] = fields.get(acted[0], 0) + coefficient**2
+            else:
+                raise ValueError(f"{axes} acts on more than one qubit")
+        t = mpmath.log(2) / lam
+        s = mpmath.fsum(mpmath.log(2) ** k / mpmath.factorial(k) for k in range(order + 1))
+        errors = [mpmath.mpf(0)] * r_max
+        for signs in product((1, -1), repeat=len(fields)):
+            eigenvalue = shift + mpmath.fsum(sign * mpmath.sqrt(b2) for sign, b2 in zip(signs, fields.values()))
+            x = -1j * t * eigenvalue
+            exact = mpmath.exp(x)
+            series = mpmath.fsum(x**k / mpmath.factorial(k) for k in range(order + 1))
+            amplified = (3 / s) * series - (4 / s**3) * series * mpmath.conj(series) * series
+            for r in range(1, r_max + 1):
+                errors[r - 1] = max(errors[r - 1], abs(exact**r - amplified**r))
+        return errors
 
 
 def plan_json_oracle(trace) -> str:
