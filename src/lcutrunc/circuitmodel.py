@@ -7,9 +7,10 @@ tensor factors ordered ``q, c_1, ..., c_kappa, system``, so the block of an
 operator between ancilla-zero states is simply its top-left system-sized
 submatrix.  The select is block diagonal over ancilla basis states and is
 kept as its stack of system-sized diagonal blocks, never as a full matrix.
-The identity checks read the prepare only through its first column ``p``:
-the prepare, the reflection about ancilla zero and the prepare's adjoint
-together act as ``2(p p†)⊗I − I``.
+The identity checks read the prepare only through its first column ``p``,
+which they build directly as the Kronecker product of the register columns,
+without the unitary: the prepare, the reflection about ancilla zero and the
+prepare's adjoint together act as ``2(p p†)⊗I − I``.
 
 This module verifies operator semantics, not gate decompositions: the
 prepare unitary is any orthonormal completion of its specified first column,
@@ -21,6 +22,7 @@ ancilla qubits, select and the walk the ancilla and system qubits together.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .hamiltonian import SortedHamiltonian
-from .planner import TruncationVector, as_levels, order_weights, s_value, t_infinity
+from .planner import TruncationVector, as_levels, checked_levels, order_weights, s_value, t_infinity
 from .densesim import (
     _check_qubits,
     amplification_polynomial,
@@ -132,6 +134,39 @@ def _unary_index(k: int, kappa: int) -> int:
     return sum(2 ** (kappa - m) for m in range(1, k + 1))
 
 
+def _register_columns(hamiltonian: SortedHamiltonian, vec: TruncationVector, t: float) -> list[np.ndarray]:
+    """The first column of each register's prepare factor, in register order.
+
+    The order register's column holds ``sqrt(w_k / N)`` on the unary states,
+    with ``N`` the sum of the order weights; each index register with qubits
+    holds ``sqrt(alpha_l / Lambda_k)`` for its ``L_k`` retained terms.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    layout = layout_for(vec)
+    # the order register's normalization, which must coincide with s(t)
+    weights = order_weights(hamiltonian, vec, t)
+    normalization = float(np.sum(weights))
+    q_column = np.zeros(2**layout.kappa)
+    for k, weight in enumerate(weights):
+        q_column[_unary_index(k, layout.kappa)] = math.sqrt(weight / normalization)
+    columns = [q_column]
+
+    for count, width in zip(vec.levels, layout.c_widths):
+        if width == 0:
+            continue
+        lam = hamiltonian.prefix_lambda(count)
+        column = np.zeros(2**width)
+        column[:count] = [math.sqrt(term.alpha / lam) for term in hamiltonian.terms[:count]]
+        columns.append(column)
+    return columns
+
+
+def _prepare_column(hamiltonian: SortedHamiltonian, vec: TruncationVector, t: float) -> np.ndarray:
+    """``p = P[:, 0]``, the Kronecker product of the register columns, formed without ``P``."""
+    return functools.reduce(np.multiply.outer, _register_columns(hamiltonian, vec, t)).ravel()
+
+
 def build_prepare(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
@@ -145,32 +180,9 @@ def build_prepare(
     specified; the rest of each factor is an orthonormal completion.
     """
     vec = _contiguous_levels(levels)
-    layout = layout_for(vec)
-    _check_qubits(layout.total_ancillas)
-
-    # the order register's normalization, which must coincide with s(t)
-    weights = order_weights(hamiltonian, vec, t)
-    normalization = float(np.sum(weights))
-    q_column = np.zeros(2**layout.kappa, dtype=complex)
-    for k, weight in enumerate(weights):
-        q_column[_unary_index(k, layout.kappa)] = math.sqrt(weight / normalization)
-    factors = [_unitary_with_first_column(q_column)]
-
-    for k, count in enumerate(vec.levels, start=1):
-        width = layout.c_widths[k - 1]
-        if width == 0:
-            continue
-        lam = hamiltonian.prefix_lambda(count)
-        column = np.zeros(2**width, dtype=complex)
-        for l in range(count):
-            column[l] = math.sqrt(hamiltonian.terms[l].alpha / lam)
-        factors.append(_unitary_with_first_column(column))
-
-    prepare = factors[0]
-    for factor in factors[1:]:
-        # np.kron as one broadcast product
-        prepare = (prepare[:, None, :, None] * factor[:, None]).reshape(len(prepare) * len(factor), -1)
-    return prepare
+    _check_qubits(layout_for(vec).total_ancillas)
+    factors = [_unitary_with_first_column(column) for column in _register_columns(hamiltonian, vec, t)]
+    return functools.reduce(np.kron, factors)
 
 
 def build_select(
@@ -189,13 +201,14 @@ def build_select(
     ``c_1..c_k``, from those of order k - 1 and the factor stack of register
     ``c_k``: ``-i h_l`` for ``l < L_k`` and the identity past it.
     """
-    vec = _contiguous_levels(levels)
+    vec = _contiguous_levels(checked_levels(hamiltonian, levels))
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
 
-    # stack[0] is the identity and stack[l + 1] is -i h_l
-    stack = np.array([np.eye(sys_dim)] + [-1j * pauli_string_matrix(term.op) for term in hamiltonian.terms])
+    # stack[0] is the identity and stack[l + 1] is -i h_l; no register indexes past max(L_k)
+    used = hamiltonian.terms[: max(vec.levels)]
+    stack = np.array([np.eye(sys_dim)] + [-1j * pauli_string_matrix(term.op) for term in used])
     c_dims = tuple(2**width for width in layout.c_widths)
     blocks = np.broadcast_to(stack[0], (2**layout.kappa, *c_dims, sys_dim, sys_dim)).copy()
     products = stack[0]
@@ -283,13 +296,14 @@ def verify_identities(
     The ancilla-zero block of W must equal the truncated sum divided by its
     normalization; the same block of A must equal the amplified operator,
     both built independently by the dense simulator.  The blocks read the
-    prepare only through ``p = P[:, 0]``: with ``z = S·(p⊗I)`` the walk block
-    is ``(p†⊗I)·z`` and the amplified block ``−(p†⊗I)·S·M·S†·M·z``, where
+    prepare only through ``p = P[:, 0]``, built directly from the register
+    columns: with ``z = S·(p⊗I)`` the walk block is ``(p†⊗I)·z`` and the
+    amplified block ``−(p†⊗I)·S·M·S†·M·z``, where
     ``M = (P⊗I)·R·(P†⊗I) = 2(p p†)⊗I − I``.  For total dimension d and n
     system qubits that costs O(d·4^n) in block products plus O(d·2^n) in
-    contractions with p; no product with P is formed and no d×d array is held.
-    The normalization is read back from the same prepare's corner entry,
-    ``|P[0,0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index registers
+    contractions with p; P itself is never formed and no d×d array is held.
+    The normalization is read back from ``p[0]``,
+    ``|p[0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index registers
     that have qubits, and compared with ``s``.
     """
     vec = _contiguous_levels(levels)
@@ -298,7 +312,7 @@ def verify_identities(
     layout = layout_for(vec)
     _check_qubits(layout.total_ancillas + hamiltonian.qubit_count)
     sys_dim = 2**hamiltonian.qubit_count
-    p = build_prepare(hamiltonian, vec, t)[:, 0]
+    p = _prepare_column(hamiltonian, vec, t)
     blocks = build_select(hamiltonian, vec).reshape(-1, sys_dim, sys_dim)
     z = p[:, None, None] * blocks
     walk_block = np.tensordot(p.conj(), z, axes=1)

@@ -262,8 +262,9 @@ def logspread_hamiltonian(
     """Synthetic Hamiltonian with weights spread over ``decades`` orders of magnitude.
 
     Weight ``l`` is ``10**(-decades * l / (num_terms - 1))``, so the weights
-    run from 1 down to ``10**-decades``.  Operators are random distinct Pauli
-    strings on ``qubit_count`` qubits.
+    run from 1 down to ``10**-decades``, which must not fall below
+    ``DROP_THRESHOLD`` so that the term list parses back whole.  Operators are
+    random distinct Pauli strings on ``qubit_count`` qubits.
     """
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
@@ -274,8 +275,11 @@ def logspread_hamiltonian(
             f"cannot draw {num_terms} distinct Pauli strings on {qubit_count} qubit(s)"
         )
     alphas = [1.0] if num_terms == 1 else [10.0 ** (-decades * l / (num_terms - 1)) for l in range(num_terms)]
-    if alphas[-1] == 0.0:
-        raise ValueError(f"decades {decades} is too large: the smallest weight 10**-decades underflows to 0")
+    if alphas[-1] < DROP_THRESHOLD:
+        raise ValueError(
+            f"decades {decades} is too large: the smallest weight {alphas[-1]!r} "
+            f"would be dropped on parsing, below {DROP_THRESHOLD}"
+        )
     rng = np.random.default_rng(seed)
     chosen: set[int] = set()
     codes: list[int] = []

@@ -18,9 +18,15 @@ from lcutrunc.circuitmodel import (
 )
 from lcutrunc.densesim import amplification_polynomial, operator_norm, truncated_series_operator
 from lcutrunc.hamiltonian import parse_hamiltonian
-from lcutrunc.planner import order_weights, s_value, t_infinity
+from lcutrunc.planner import as_levels, order_weights, s_value, t_infinity
 
-from util import dense_select_oracle, dense_walk_oracle, random_contiguous_levels, random_pauli_hamiltonian
+from util import (
+    dense_select_oracle,
+    dense_walk_oracle,
+    prepare_column_oracle,
+    random_contiguous_levels,
+    random_pauli_hamiltonian,
+)
 
 LN2 = math.log(2.0)
 
@@ -218,7 +224,7 @@ def test_walk_and_identities_check_the_cap_before_building(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("dense matrix built over the cap")
 
-    for name in ("build_prepare", "build_select", "truncated_series_operator"):
+    for name in ("build_prepare", "_prepare_column", "build_select", "truncated_series_operator"):
         monkeypatch.setattr(circuitmodel, name, never)
     with pytest.raises(CapExceeded):
         build_walk_operators(ham, (2, 1), 0.5)
@@ -336,7 +342,7 @@ def test_thin_walk_products_match_the_dense_oracle(case):
 @pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index"])
 def test_identities_read_only_the_prepare_first_column(case, monkeypatch):
     # any unitary e^{iθ}·P·(1 ⊕ U) has the first column e^{iθ}·p and gives the
-    # same blocks; its complex p catches a missing conj() where build_prepare's real one does not
+    # same blocks; its complex p catches a missing conj() where the built real one does not
     ham, levels = _oracle_instance(case)
     t = t_infinity(ham)
     prepare = build_prepare(ham, levels, t)
@@ -348,12 +354,49 @@ def test_identities_read_only_the_prepare_first_column(case, monkeypatch):
     phased = np.exp(0.7j) * prepare @ completion
     _, walk_residual, amplified_residual = _dense_oracle_residuals(ham, levels, t, phased)
 
-    monkeypatch.setattr(circuitmodel, "build_prepare", lambda *args: phased)
+    monkeypatch.setattr(circuitmodel, "_prepare_column", lambda *args: phased[:, 0])
     report = verify_identities(ham, levels, t)
     assert report.walk_block_residual == pytest.approx(walk_residual, abs=1e-14)
     assert report.amplified_block_residual == pytest.approx(amplified_residual, abs=1e-14)
     assert max(report.walk_block_residual, report.amplified_block_residual) <= 1e-14
     assert report.normalization_error <= 1e-12
+
+
+@pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index", "dim1024"])
+def test_prepare_column_is_the_kron_of_the_register_columns(case):
+    ham, levels = _oracle_instance(case)
+    t = t_infinity(ham)
+    p = circuitmodel._prepare_column(ham, as_levels(levels), t)
+    assert p.shape == (layout_for(levels).ancilla_dim,)
+    assert np.abs(p - prepare_column_oracle(ham, levels, t)).max() <= 1e-15
+    assert np.abs(p - build_prepare(ham, levels, t)[:, 0]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("levels", [(8, 2, 1), (2, 2, 1), (1,), (3, 5)])
+def test_select_forms_the_pauli_matrices_of_the_used_terms_only(levels, monkeypatch):
+    ham, _ = _oracle_instance("dim1024")
+    formed = []
+    pauli_string_matrix = circuitmodel.pauli_string_matrix
+
+    def counted(op):
+        formed.append(op)
+        return pauli_string_matrix(op)
+
+    monkeypatch.setattr(circuitmodel, "pauli_string_matrix", counted)
+    build_select(ham, levels)
+    assert formed == [term.op for term in ham.terms[: max(levels)]]
+
+
+def test_select_rejects_levels_past_the_term_count(two_term):
+    with pytest.raises(ValueError, match=r"levels \[3\] outside 0\.\.2, the term count"):
+        build_select(two_term, (3,))
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_circuit_model_rejects_a_bad_t(two_term, t):
+    for build in (build_prepare, verify_identities):
+        with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
+            build(two_term, (2, 1), t)
 
 
 @pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index"])
@@ -383,19 +426,21 @@ def test_identities_form_only_the_ancilla_zero_columns(two_term, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("verify_identities formed the full walk")
 
-    prepares = []
+    columns = []
+    prepare_column = circuitmodel._prepare_column
 
-    def counted_prepare(*args, **kwargs):
-        prepares.append(args)
-        return build_prepare(*args, **kwargs)
+    def counted_column(*args, **kwargs):
+        columns.append(args)
+        return prepare_column(*args, **kwargs)
 
     monkeypatch.setattr(circuitmodel, "build_walk_operators", never)
-    monkeypatch.setattr(circuitmodel, "build_prepare", counted_prepare)
+    monkeypatch.setattr(circuitmodel, "build_prepare", never)
+    monkeypatch.setattr(circuitmodel, "_prepare_column", counted_column)
     report = verify_identities(two_term, (2, 1))
     assert report.walk_block_residual <= 1e-10
     assert report.amplified_block_residual <= 1e-10
     assert report.normalization_error <= 1e-12
-    assert len(prepares) == 1
+    assert len(columns) == 1
 
 
 def test_identity_report_csv(two_term):

@@ -175,6 +175,7 @@ def test_gen_logspread(tmp_path):
         ("nan", "decades must be finite and nonnegative, got nan"),
         ("inf", "decades must be finite and nonnegative, got inf"),
         ("1e6", "decades 1000000.0 is too large"),
+        ("20", "decades 20.0 is too large"),
     ],
 )
 def test_gen_logspread_rejects_bad_decades(tmp_path, capsys, decades, message):

@@ -10,6 +10,7 @@ from lcutrunc.circuitmodel import verify_identities
 from lcutrunc.densesim import single_step_error
 from lcutrunc.errors import TermListError
 from lcutrunc.hamiltonian import (
+    DROP_THRESHOLD,
     HamiltonianTerm,
     PauliString,
     SortedHamiltonian,
@@ -327,9 +328,18 @@ def test_logspread_validation():
 
 
 def test_logspread_rejects_decades_whose_smallest_weight_underflows():
-    assert logspread_hamiltonian(4, 323.0, 2, seed=1).terms[-1].alpha > 0.0
+    assert logspread_hamiltonian(4, 15.0, 2, seed=1).terms[-1].alpha == DROP_THRESHOLD
     with pytest.raises(ValueError, match="decades 324.0 is too large"):
         logspread_hamiltonian(4, 324.0, 2, seed=1)
+
+
+def test_logspread_writes_only_weights_that_parse_back():
+    # 20 decades wrote a 1e-20 weight, which parsing then dropped with a warning
+    ham = logspread_hamiltonian(4, 15.0, 2, seed=1)
+    assert parse_hamiltonian(format_term_list(ham)).num_terms == 4
+    for decades in (15.5, 20.0, 323.0):
+        with pytest.raises(ValueError, match=f"decades {decades} is too large"):
+            logspread_hamiltonian(4, decades, 2, seed=1)
 
 
 def test_non_finite_weight_rejected_at_type_level():

@@ -127,6 +127,34 @@ def dense_select_oracle(hamiltonian: SortedHamiltonian, levels) -> np.ndarray:
     return select
 
 
+def prepare_column_oracle(hamiltonian: SortedHamiltonian, levels, t: float) -> np.ndarray:
+    """The prepare's first column, as ``np.kron`` of register columns formed here.
+
+    Ancilla qubits in the order of ``dense_select_oracle``.  The order
+    register holds ``sqrt(w_k / sum w)`` on the unary state of order k, with
+    ``w_k = t^k/k! * Lambda_1 ... Lambda_k`` and ``Lambda_j`` the sum of the
+    first ``L_j`` weights; each index register of ``ceil(log2 L_k)`` qubits
+    holds ``sqrt(alpha_l / Lambda_k)`` for ``l < L_k``.
+    """
+    levels = tuple(levels)
+    kappa = len(levels)
+    alphas = [term.alpha for term in hamiltonian.terms]
+    weights = [1.0]
+    for k, count in enumerate(levels, start=1):
+        weights.append(weights[-1] * t * sum(alphas[:count]) / k)
+    order = np.zeros(2**kappa)
+    for k, weight in enumerate(weights):
+        order[int("1" * k + "0" * (kappa - k), 2)] = np.sqrt(weight / sum(weights))
+    columns = [order]
+    for count in levels:
+        width = (count - 1).bit_length()
+        if width:
+            column = np.zeros(2**width)
+            column[:count] = np.sqrt(np.array(alphas[:count]) / sum(alphas[:count]))
+            columns.append(column)
+    return reduce(np.kron, columns)
+
+
 def omitted_mass_oracle(text: str, levels) -> Decimal:
     """The bound ``2 - s(t_inf)`` at the exact ``t_inf = ln 2 / Lambda``, to 50 digits.
 
