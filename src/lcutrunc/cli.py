@@ -52,7 +52,7 @@ def _resolve_levels(args, hamiltonian: SortedHamiltonian) -> planner.TruncationV
         return planner.checked_levels(hamiltonian, _parse_levels(args.levels))
     if args.order is not None:
         return planner.full_order_levels(hamiltonian, args.order)
-    return planner.greedy_plan(hamiltonian, budget=args.budget).final
+    return planner._greedy(hamiltonian, args.budget, None, record_gains=False)[3]
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -132,16 +132,25 @@ def hamiltonian_matrix(hamiltonian: SortedHamiltonian, m: int | None = None) -> 
     return total
 
 
-def _spectrum(hamiltonian: SortedHamiltonian, eigenvectors: bool = True):
-    """Eigenvalues and eigenvectors (or the eigenvalues alone) of the full Hamiltonian matrix.
+def _check_hermitian(hamiltonian: SortedHamiltonian) -> None:
+    """Raise unless H is Hermitian, before any matrix is built.
 
-    Raises before building it if the Hamiltonian is not Hermitian.  Pauli
-    strings are Hermitian and linearly independent, so a sum of distinct
+    Pauli strings are Hermitian and linearly independent, so a sum of distinct
     strings is Hermitian exactly when no term carries a folded phase of +-i.
     """
     if any(term.op.phase.imag for term in hamiltonian.terms):
         raise ValueError("Hamiltonian matrix is not Hermitian; cannot exponentiate by eigendecomposition")
-    matrix = hamiltonian_matrix(hamiltonian)
+
+
+def _spectrum(hamiltonian: SortedHamiltonian, eigenvectors: bool = True, matrix: np.ndarray | None = None):
+    """Eigenvalues and eigenvectors (or the eigenvalues alone) of the full Hamiltonian matrix.
+
+    ``matrix`` is that matrix if already built; otherwise it is built after
+    :func:`_check_hermitian`.
+    """
+    if matrix is None:
+        _check_hermitian(hamiltonian)
+        matrix = hamiltonian_matrix(hamiltonian)
     return np.linalg.eigh(matrix) if eigenvectors else np.linalg.eigvalsh(matrix)
 
 
@@ -150,9 +159,12 @@ def _unitary(eigenvectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return (eigenvectors * phases) @ eigenvectors.conj().T
 
 
-def exact_evolution(hamiltonian: SortedHamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) by Hermitian eigendecomposition; raises if H is not Hermitian."""
-    eigenvalues, eigenvectors = _spectrum(hamiltonian)
+def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i H t) by Hermitian eigendecomposition; raises if H is not Hermitian.
+
+    ``matrix``, if given, is ``hamiltonian_matrix(hamiltonian)``, already built.
+    """
+    eigenvalues, eigenvectors = _spectrum(hamiltonian, matrix=matrix)
     return _unitary(eigenvectors, np.exp(-1j * t * eigenvalues))
 
 
@@ -255,14 +267,21 @@ class _StepErrors:
     ``U = exp(-iH t_inf)`` and ``A`` is the amplified step.  The spectral
     work is done at most once and shared by every vector measured: the
     eigenvalues for full-order vectors, ``exact_evolution`` for single
-    steps of other vectors.
+    steps of other vectors, both from one dense H built on first use.
     """
 
     def __init__(self, hamiltonian: SortedHamiltonian):
         self.hamiltonian = hamiltonian
         self.t = t_infinity(hamiltonian)
+        self._matrix: np.ndarray | None = None
         self._eigenvalues: np.ndarray | None = None
         self._exact: np.ndarray | None = None
+
+    def _hamiltonian_matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            _check_hermitian(self.hamiltonian)
+            self._matrix = hamiltonian_matrix(self.hamiltonian)
+        return self._matrix
 
     def measure(self, levels: "TruncationVector | Sequence[int]", r_max: int = 1) -> list[float]:
         """``[||U^r - A^r|| for r = 1..r_max]``."""
@@ -273,10 +292,10 @@ class _StepErrors:
         amplified = amplified_operator(self.hamiltonian, vec, self.t)
         if r_max == 1:
             if self._exact is None:
-                self._exact = exact_evolution(self.hamiltonian, self.t)
+                self._exact = exact_evolution(self.hamiltonian, self.t, matrix=self._hamiltonian_matrix())
             return [operator_norm(self._exact - amplified)]
         # U^r from the r-th powers of the eigenphases, A^r by repeated multiplication
-        eigenvalues, eigenvectors = _spectrum(self.hamiltonian)
+        eigenvalues, eigenvectors = _spectrum(self.hamiltonian, matrix=self._hamiltonian_matrix())
         step_phases = np.exp(-1j * self.t * eigenvalues)
         phases, amplified_power = step_phases, amplified
         errors = []
@@ -302,7 +321,7 @@ class _StepErrors:
         out, so nothing cancels.
         """
         if self._eigenvalues is None:
-            self._eigenvalues = _spectrum(self.hamiltonian, eigenvectors=False)
+            self._eigenvalues = _spectrum(self.hamiltonian, eigenvectors=False, matrix=self._hamiltonian_matrix())
         x = -1j * self.t * self._eigenvalues
         # past 20 terms the remainder's tail is below 2.1 ln(2)^20 / 20! ~ 6e-22 of it
         term, remainder = np.ones_like(x), np.zeros_like(x)

@@ -17,9 +17,12 @@ The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
 the largest decrease of the error bound) per unit of gate cost.  It keeps
 the order weights across steps and recomputes only those from the bumped
-order on.  Each step makes one reverse scan over them, which gives the bound
-and estimates every order's gain, plus about one :func:`insertion_gain` call,
-which confirms the winner and supplies the recorded gain.
+order on.  Each step makes one reverse scan over them, down to the lowest
+order that is not full, which gives the bound and estimates every order's
+gain.  :func:`greedy_plan` adds about one :func:`insertion_gain` call, which
+confirms the winner and supplies the recorded gain.  Callers that need only
+the levels or the bounds (``--budget`` and ``compare``) record no gains and
+confirm only near-ties and gains near underflow.
 """
 
 from __future__ import annotations
@@ -196,13 +199,15 @@ def s_value(
 
 
 def _scan(
-    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float
+    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float, lowest: int = 1
 ) -> tuple[float, list[tuple[int, float]], float]:
     """The bound, each open order's ``(k, gain estimate)`` ascending in k, and the best estimate.
 
     ``w`` are the order weights of ``counts`` (contiguous for the estimates),
-    ``t = t_inf``, and one pass runs from the top live order ``K`` down.  The
-    bound is the omitted mass ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``:
+    ``t = t_inf``, and one pass runs from the top live order ``K`` down to
+    order ``lowest``.  Every order below ``lowest`` must hold all ``L`` terms:
+    its bound term, with ``Lambda - Lambda_L = 0.0``, is exactly 0.0, and it
+    has no estimate.  The bound is the omitted mass ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``:
     term ``m`` holds the products whose first omitted factor lies in order ``m``;
     order ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  With ``Lambda_k``
     counted as 1 the weights from order ``k`` on are ``w_nu / Lambda_k``, so a
@@ -215,7 +220,7 @@ def _scan(
     best = terms[0].alpha * (weights[top] * (t / (top + 1)))
     estimates = [(top + 1, best)]
     tail = 0.0
-    for m in range(top, 0, -1):
+    for m in range(top, lowest - 1, -1):
         count = counts[m - 1]
         epsilon += weights[m - 1] * suffix[count] * (t / m) * _PHI[m]
         tail += weights[m]
@@ -264,8 +269,15 @@ def insertion_gain(
         t = t_infinity(hamiltonian)
     if k > len(counts):
         counts += (0,) * (k - len(counts))
-    weights = _extend_weights([1.0], hamiltonian.prefix, counts, t, unit_order=k)
-    return hamiltonian.terms[count_k].alpha * _sum_in_order(weights[k:])
+    prefix, weight, total = hamiltonian.prefix, 1.0, 0.0
+    for j in range(1, len(counts) + 1):
+        lam = 1.0 if j == k else prefix[counts[j - 1]]
+        if lam == 0.0:
+            break
+        weight *= t * lam / j
+        if j >= k:
+            total += weight
+    return hamiltonian.terms[count_k].alpha * total
 
 
 def solve_t_root(
@@ -366,17 +378,35 @@ def greedy_plan(
     (ties break toward the lowest order) until the cost budget is spent or
     the error bound drops to ``target_epsilon``.  Exactly one stopping rule
     must be given.  Each step records, and stops on, :func:`epsilon_bound`.
-
-    A step costs O(K) for ``K`` populated orders.  The order weights are kept
-    across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.  One
-    reverse scan gives the bound and every order's gain estimate, and
-    :func:`insertion_gain` confirms only the orders whose estimate lies within
-    ``_GAIN_SCREEN_RTOL`` (relative) or, for gains near underflow,
-    ``_GAIN_SCREEN_ATOL`` of the best: about one call per step.  Choices and
-    recorded gains are those of calling :func:`insertion_gain` for every order.
+    A step costs O(K) for ``K`` populated orders (see :func:`_greedy`), and its
+    choice and recorded gain are those of calling :func:`insertion_gain` for
+    every order.
 
     Raises :class:`ConvergenceError` if ``target_epsilon`` is still
     unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
+    """
+    chosen, epsilons, gains, final = _greedy(hamiltonian, budget, target_epsilon, record_gains=True)
+    return PlanTrace(
+        hamiltonian_id=hamiltonian.label or "<unnamed>",
+        t=t_infinity(hamiltonian),
+        steps=tuple(map(PlanStep, chosen, gains, epsilons, range(1, len(chosen) + 1))),
+        final=final,
+    )
+
+
+def _greedy(
+    hamiltonian: SortedHamiltonian, budget: int | None, target_epsilon: float | None, record_gains: bool
+) -> tuple[list[int], list[float], list[float], TruncationVector]:
+    """The greedy loop: each step's order, the bound after each step, the gains and the final levels.
+
+    The order weights are kept across steps; bumping order ``b`` refills only
+    ``w_b, ..., w_K``.  One :func:`_scan` per step, down to the lowest order
+    that is not full, gives the bound and every open order's gain estimate.
+    :func:`insertion_gain` confirms the orders whose estimate lies within
+    ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best.
+    Without ``record_gains`` the gains stay empty, and a lone order whose
+    estimate is above the absolute margin is taken unconfirmed: its
+    confirmed gain is above 0, so the confirmation would take it too.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -386,55 +416,57 @@ def greedy_plan(
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
 
     t = t_infinity(hamiltonian)
-    cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * hamiltonian.num_terms
+    num_terms = hamiltonian.num_terms
+    cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
     screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
 
     counts: list[int] = []
     weights = [1.0]
-    steps: list[PlanStep] = []
-    chosen = None
+    lowest = 1  # the lowest order that is not full
+    chosen: list[int] = []
+    epsilons: list[float] = []
+    gains: list[float] = []
 
     while True:
         # the step's scan also gives the bound after the previous step
-        epsilon, estimates, best = _scan(hamiltonian, counts, weights, t)
-        if chosen is not None:
-            steps.append(PlanStep(*chosen, epsilon_after=epsilon, cost_after=len(steps) + 1))
-        if budget is not None and len(steps) >= budget:
+        epsilon, estimates, best = _scan(hamiltonian, counts, weights, t, lowest)
+        if chosen:
+            epsilons.append(epsilon)
+        if budget is not None and len(chosen) >= budget:
             break
         if target_epsilon is not None and epsilon <= target_epsilon:
             break
-        if len(steps) >= cost_cap:
+        if len(chosen) >= cost_cap:
             raise ConvergenceError(
                 f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}"
             )
 
-        current = TruncationVector(levels=tuple(counts))
         floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
-        best_k = 0
-        best_gain = 0.0
-        for k, estimate in estimates:
-            if estimate < floor:
-                continue
-            gain = insertion_gain(hamiltonian, current, k, t)
-            if gain > best_gain:
-                best_gain = gain
-                best_k = k
-        if best_k == 0:
-            raise ConvergenceError(
-                "no insertion improves the bound in double precision; "
-                f"stopped at cost {len(steps)}"
-            )
+        candidates = [k for k, estimate in estimates if estimate >= floor]
+        if record_gains or len(candidates) > 1 or best <= screen_atol:
+            current = TruncationVector(levels=tuple(counts))
+            best_k, best_gain = 0, 0.0
+            for k in candidates:
+                gain = insertion_gain(hamiltonian, current, k, t)
+                if gain > best_gain:
+                    best_k, best_gain = k, gain
+            if best_k == 0:
+                raise ConvergenceError(
+                    "no insertion improves the bound in double precision; "
+                    f"stopped at cost {len(chosen)}"
+                )
+            if record_gains:
+                gains.append(best_gain)
+        else:
+            best_k = candidates[0]
 
         if best_k > len(counts):
             counts.append(0)
         counts[best_k - 1] += 1
+        while lowest <= len(counts) and counts[lowest - 1] == num_terms:
+            lowest += 1
+        chosen.append(best_k)
         del weights[best_k:]  # orders below best_k keep their weights
         _extend_weights(weights, hamiltonian.prefix, counts, t)
-        chosen = (best_k, best_gain)
 
-    return PlanTrace(
-        hamiltonian_id=hamiltonian.label or "<unnamed>",
-        t=t,
-        steps=tuple(steps),
-        final=TruncationVector(levels=tuple(counts)),
-    )
+    return chosen, epsilons, gains, TruncationVector(levels=tuple(counts))

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .densesim import _StepErrors
 from .hamiltonian import SortedHamiltonian
-from .planner import epsilon_bound, full_order_levels, greedy_plan
+from .planner import _greedy, epsilon_bound, full_order_levels
 
 CSV_COLUMNS = (
     "n",
@@ -52,8 +53,9 @@ def generate_comparison_report(
 ) -> list[ComparisonRow]:
     """One row per full-expansion order n = 1..n_max at equal cost n*L.
 
-    A single greedy plan to cost ``n_max * L`` is computed; the bound it
-    records at each cost is ``epsilon_bound`` of that prefix vector.
+    A single greedy plan to cost ``n_max * L`` is computed, without its
+    gains; the bound it records at each cost is ``epsilon_bound`` of that
+    prefix vector, as in :func:`~lcutrunc.planner.greedy_plan`.
     ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the smallest greedy
     cost ``c`` whose bound already undercuts the full expansion's, or None
     if the trace never does.
@@ -61,7 +63,8 @@ def generate_comparison_report(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     num_terms = hamiltonian.num_terms
-    plan = greedy_plan(hamiltonian, budget=n_max * num_terms)
+    chosen, epsilons, _, _ = _greedy(hamiltonian, n_max * num_terms, None, record_gains=False)
+    bounds = [1.0, *epsilons]  # the bound at each cost from 0 on
 
     # the rows share their spectral work, and each equals a standalone measurement
     errors = _StepErrors(hamiltonian) if with_dense else None
@@ -71,18 +74,19 @@ def generate_comparison_report(
     for n in range(1, n_max + 1):
         cost = n * num_terms
         eps_full = epsilon_bound(hamiltonian, full_order_levels(hamiltonian, n))
-        eps_greedy = plan.epsilon_at_cost(cost)
+        eps_greedy = bounds[cost]
         ratio = eps_full / eps_greedy if eps_greedy > 0 else float("inf")
 
         # the bound shrinks along the trace, so the matching cost only grows
-        while match_cost <= len(plan.steps) and plan.epsilon_at_cost(match_cost) > eps_full:
+        while match_cost < len(bounds) and bounds[match_cost] > eps_full:
             match_cost += 1
-        saving = (cost - match_cost) / num_terms if match_cost <= len(plan.steps) else None
+        saving = (cost - match_cost) / num_terms if match_cost < len(bounds) else None
 
         delta_full = delta_greedy = delta_ratio = None
         if with_dense:
             delta_full = errors.measure(full_order_levels(hamiltonian, n))[0]
-            delta_greedy = errors.measure(plan.levels_at_cost(cost))[0]
+            orders = Counter(chosen[:cost])  # greedy fills orders 1..K, none skipped
+            delta_greedy = errors.measure([orders[k] for k in range(1, len(orders) + 1)])[0]
             delta_ratio = delta_full / delta_greedy if delta_greedy > 0 else float("inf")
 
         rows.append(

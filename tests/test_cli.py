@@ -2,12 +2,14 @@
 
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from lcutrunc.cli import main
-from lcutrunc.hamiltonian import parse_hamiltonian
+from lcutrunc.hamiltonian import format_term_list, logspread_hamiltonian, parse_hamiltonian
 
+from conftest import DATA_DIR
 from util import omitted_mass_oracle
 
 TWO_TERM = "1.0 ZI\n0.1 XX\n"
@@ -288,6 +290,25 @@ def test_plan_outputs_are_pinned_to_exact_bytes(ham_file, tmp_path, monkeypatch)
     assert abs(Decimal(0.0884650858408722) - exact) < abs(Decimal(0.08846508584087237) - exact)
 
 
+PINNED_PLAN_LARGE_SMALL = {
+    "bound.json": ["bound", "--budget", "800"],
+    "resources.json": ["resources", "--budget", "800"],
+    "compare.csv": ["compare", "--n-max", "3"],
+    "compare.json": ["compare", "--n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("filename", PINNED_PLAN_LARGE_SMALL)
+def test_budget_and_compare_outputs_of_the_reduced_plan_large_input_are_pinned(tmp_path, monkeypatch, filename):
+    # the greedy runs behind these commands record no gains; their bytes must
+    # stay those of the plan that records every gain
+    monkeypatch.chdir(tmp_path)
+    Path("plan_large_small.txt").write_text(format_term_list(logspread_hamiltonian(200, 6.0, 8, seed=100)))
+    command, *options = PINNED_PLAN_LARGE_SMALL[filename]
+    assert main([command, "--hamiltonian", "plan_large_small.txt", *options, "--out", filename]) == 0
+    assert Path(filename).read_bytes() == (DATA_DIR / "plan_large_small" / filename).read_bytes()
+
+
 def test_plan_reaches_a_target_below_the_cancellation_floor_of_2_minus_s(tmp_path):
     path = tmp_path / "zx.txt"
     path.write_text("1 Z\n0.5 X\n")
@@ -332,8 +353,9 @@ def test_out_extension_is_checked_before_any_planning(ham_file, tmp_path, monkey
     def no_planning(*args, **kwargs):
         raise AssertionError("planned before checking --out")
 
-    monkeypatch.setattr(planner_module, "greedy_plan", no_planning)
-    monkeypatch.setattr(report_module, "greedy_plan", no_planning)
+    # the greedy kernel runs behind greedy_plan, --budget and compare alike
+    monkeypatch.setattr(planner_module, "_greedy", no_planning)
+    monkeypatch.setattr(report_module, "_greedy", no_planning)
     out = tmp_path / "result.txt"
     assert main([argv[0], "--hamiltonian", str(ham_file), *argv[1:], "--out", str(out)]) == 2
     assert "output extension 'txt' not supported" in capsys.readouterr().err

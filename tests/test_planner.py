@@ -33,7 +33,13 @@ from lcutrunc.planner import (
     t_infinity,
 )
 
-from util import omitted_mass_oracle, plan_json_oracle, random_contiguous_levels, random_pauli_hamiltonian
+from util import (
+    insertion_gain_oracle,
+    omitted_mass_oracle,
+    plan_json_oracle,
+    random_contiguous_levels,
+    random_pauli_hamiltonian,
+)
 
 LN2 = math.log(2.0)
 
@@ -235,6 +241,24 @@ def test_gain_matches_s_difference_oracle():
                 assert gain == 0.0
 
 
+def test_gain_is_bit_equal_to_the_list_and_slice_formula():
+    # levels with gaps, full orders and trailing zeros; k past the end and past the first gap
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(300):
+        ham = random_pauli_hamiltonian(rng, 3, int(rng.integers(1, 9)), decades=4.0)
+        levels = [int(v) for v in rng.integers(0, ham.num_terms + 1, size=int(rng.integers(0, 8)))]
+        for t in (t_infinity(ham), float(rng.uniform(0.0, 3.0))):
+            for k in range(1, len(levels) + 3):
+                if k <= len(levels) and levels[k - 1] == ham.num_terms:
+                    with pytest.raises(ValueError, match="already contains"):
+                        insertion_gain(ham, levels, k, t)
+                    continue
+                assert repr(insertion_gain(ham, levels, k, t)) == repr(insertion_gain_oracle(ham, levels, k, t))
+                checked += 1
+    assert checked > 2000
+
+
 def test_gain_beyond_first_empty_order_is_zero(two_term):
     assert insertion_gain(two_term, (1,), 3) == 0.0
     assert insertion_gain(two_term, (1,), 7) == 0.0
@@ -396,6 +420,28 @@ def test_screened_greedy_equals_the_every_order_reference(name, ham, budget, tar
         assert trace.steps == reference_greedy_steps(ham, target_epsilon=target)
 
 
+@pytest.mark.parametrize("name, ham, budget, target", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
+def test_greedy_without_gains_takes_the_steps_of_greedy_plan(name, ham, budget, target):
+    # the levels-only kernel confirms only ties and gains near underflow
+    stops = [(budget, None)] + ([(None, target)] if ham.num_terms > 1 and target is not None else [])
+    for stop in stops:
+        trace = greedy_plan(ham, *stop)
+        chosen, epsilons, gains, final = planner._greedy(ham, *stop, record_gains=False)
+        assert chosen == [step.chosen_k for step in trace.steps]
+        assert list(map(repr, epsilons)) == [repr(step.epsilon_after) for step in trace.steps]
+        assert gains == [] and final == trace.final
+
+
+def test_greedy_stops_where_no_gain_survives_in_double_precision():
+    # a single term's order weights underflow to 0.0 past order 165, so the
+    # lone open order's gain is 0.0; the levels-only path must confirm it too
+    ham = parse_hamiltonian("1.0 Z")
+    with pytest.raises(ConvergenceError, match="stopped at cost 165"):
+        greedy_plan(ham, budget=400)
+    with pytest.raises(ConvergenceError, match="stopped at cost 165"):
+        planner._greedy(ham, 400, None, record_gains=False)
+
+
 def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     ham = logspread_hamiltonian(12, 4.0, 4, seed=12)
     t = t_infinity(ham)
@@ -425,8 +471,13 @@ def test_greedy_confirms_about_one_gain_per_step(monkeypatch):
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(planner, "insertion_gain", counted)
-    trace = greedy_plan(logspread_hamiltonian(200, 6.0, 8, seed=2), budget=800)
+    ham = logspread_hamiltonian(200, 6.0, 8, seed=2)
+    trace = greedy_plan(ham, budget=800)
     assert 0 < calls <= 2 * len(trace.steps)
+    # without recorded gains a lone order above the screen's margin goes unconfirmed
+    calls = 0
+    assert planner._greedy(ham, 800, None, record_gains=False)[3] == trace.final
+    assert calls <= len(trace.steps) // 100
 
 
 def test_trace_replay_and_prefix_queries(two_term):

@@ -101,11 +101,13 @@ def test_dense_report_shares_its_spectral_work(monkeypatch):
 
         return wrapper
 
-    for name in ("_spectrum", "exact_evolution", "operator_norm"):
+    for name in ("hamiltonian_matrix", "_spectrum", "exact_evolution", "operator_norm"):
         monkeypatch.setattr(densesim, name, counted(name))
     generate_comparison_report(logspread_hamiltonian(8, 2, 3, 4), 3, with_dense=True)
-    # one eigvalsh for the full orders; one exact evolution, and a norm per row, for the greedy vectors
+    # one eigvalsh for the full orders; one exact evolution, and a norm per row, for
+    # the greedy vectors; both spectra read one dense H
     assert calls == {
+        ("hamiltonian_matrix", True): 1,
         ("_spectrum", False): 1,
         ("exact_evolution", True): 1,
         ("_spectrum", True): 1,

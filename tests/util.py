@@ -258,3 +258,28 @@ def plan_json_oracle(trace) -> str:
         "final_levels": list(trace.final.levels),
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def insertion_gain_oracle(hamiltonian: SortedHamiltonian, levels, k: int, t: float) -> float:
+    """The insertion gain as a list of order weights and a left-to-right sum of its slice from order ``k`` on.
+
+    ``w_j = w_{j-1} * (t * Lambda_j / j)`` from ``w_0 = 1.0`` up to the first
+    empty order, with ``Lambda_k`` counted as 1 and the prefix sums taken
+    left to right from 0.0, the same float operations as the package's in
+    the same order, so the result must agree bit for bit.
+    """
+    alphas = [term.alpha for term in hamiltonian.terms]
+    prefix = [0.0]
+    for alpha in alphas:
+        prefix.append(prefix[-1] + alpha)
+    counts = list(levels) + [0] * max(0, k - len(levels))
+    weights = [1.0]
+    for j in range(1, len(counts) + 1):
+        lam = 1.0 if j == k else prefix[counts[j - 1]]
+        if lam == 0.0:
+            break
+        weights.append(weights[-1] * (t * lam / j))
+    total = 0.0
+    for weight in weights[k:]:
+        total += weight
+    return alphas[counts[k - 1]] * total
