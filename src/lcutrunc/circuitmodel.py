@@ -220,11 +220,6 @@ def build_select(
     return blocks.reshape(-1, sys_dim)
 
 
-def _select_apply(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``S @ z`` for ``z`` of shape ``(2^A, 2^n, c)``, in one batched product."""
-    return np.matmul(blocks, z)
-
-
 def _reflect(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``M @ z`` for ``M = (P⊗I)·R·(P†⊗I) = 2(p p†)⊗I − I``, with ``p = P[:, 0]``."""
     return 2.0 * p[:, None, None] * np.tensordot(p.conj(), z, axes=1) - z
@@ -232,8 +227,8 @@ def _reflect(p: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _amplified(blocks: np.ndarray, p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``S·M·S†·M @ z``; for ``z = S·(P⊗I)`` that is ``(P⊗I)·W·R·W†·R·W``."""
-    back = _select_apply(blocks.conj().transpose(0, 2, 1), _reflect(p, z))
-    return _select_apply(blocks, _reflect(p, back))
+    back = np.matmul(blocks.conj().transpose(0, 2, 1), _reflect(p, z))
+    return np.matmul(blocks, _reflect(p, back))
 
 
 def build_walk_operators(
@@ -257,7 +252,7 @@ def build_walk_operators(
 
     prepare = build_prepare(hamiltonian, vec, t)
     blocks = build_select(hamiltonian, vec).reshape(-1, sys_dim, sys_dim)
-    z = _select_apply(blocks, np.kron(prepare, np.eye(sys_dim)).reshape(-1, sys_dim, total_dim))
+    z = np.matmul(blocks, np.kron(prepare, np.eye(sys_dim)).reshape(-1, sys_dim, total_dim))
 
     def lowered(columns: np.ndarray) -> np.ndarray:
         return (prepare.conj().T @ columns.reshape(layout.ancilla_dim, -1)).reshape(total_dim, total_dim)

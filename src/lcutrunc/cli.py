@@ -59,7 +59,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 def _format_of(out: str | None, allowed: tuple[str, ...]) -> str:

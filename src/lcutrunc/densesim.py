@@ -51,7 +51,6 @@ from .planner import (
     as_levels,
     checked_levels,
     epsilon_bound,
-    order_weights,
     s_value,
     t_infinity,
 )
@@ -142,18 +141,6 @@ def _check_hermitian(hamiltonian: SortedHamiltonian) -> None:
         raise ValueError("Hamiltonian matrix is not Hermitian; cannot exponentiate by eigendecomposition")
 
 
-def _spectrum(hamiltonian: SortedHamiltonian, eigenvectors: bool = True, matrix: np.ndarray | None = None):
-    """Eigenvalues and eigenvectors (or the eigenvalues alone) of the full Hamiltonian matrix.
-
-    ``matrix`` is that matrix if already built; otherwise it is built after
-    :func:`_check_hermitian`.
-    """
-    if matrix is None:
-        _check_hermitian(hamiltonian)
-        matrix = hamiltonian_matrix(hamiltonian)
-    return np.linalg.eigh(matrix) if eigenvectors else np.linalg.eigvalsh(matrix)
-
-
 def _unitary(eigenvectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """V diag(phases) V^dag."""
     return (eigenvectors * phases) @ eigenvectors.conj().T
@@ -164,8 +151,16 @@ def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndar
 
     ``matrix``, if given, is ``hamiltonian_matrix(hamiltonian)``, already built.
     """
-    eigenvalues, eigenvectors = _spectrum(hamiltonian, matrix=matrix)
+    if matrix is None:
+        _check_hermitian(hamiltonian)
+        matrix = hamiltonian_matrix(hamiltonian)
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return _unitary(eigenvectors, np.exp(-1j * t * eigenvalues))
+
+
+def _live(vec: TruncationVector) -> tuple[int, ...]:
+    """The counts of ``vec`` before its first empty order."""
+    return vec.levels[: vec.levels.index(0)] if 0 in vec.levels else vec.levels
 
 
 def truncated_series_operator(
@@ -184,8 +179,7 @@ def truncated_series_operator(
     fewer terms than the order after it restarts the build.
     """
     _check_qubits(hamiltonian.qubit_count)
-    live_orders = len(order_weights(hamiltonian, levels, t)) - 1
-    counts = as_levels(levels).levels[:live_orders]
+    counts = _live(checked_levels(hamiltonian, levels))
     dim = 2**hamiltonian.qubit_count
     prefix = np.zeros((dim, dim), dtype=complex)
     built = 0
@@ -286,7 +280,7 @@ class _StepErrors:
     def measure(self, levels: "TruncationVector | Sequence[int]", r_max: int = 1) -> list[float]:
         """``[||U^r - A^r|| for r = 1..r_max]``."""
         vec = checked_levels(self.hamiltonian, levels)
-        live = vec.levels[: vec.levels.index(0)] if 0 in vec.levels else vec.levels
+        live = _live(vec)
         if all(count == self.hamiltonian.num_terms for count in live):
             return self._full_order(len(live), epsilon_bound(self.hamiltonian, vec), r_max)
         amplified = amplified_operator(self.hamiltonian, vec, self.t)
@@ -295,7 +289,7 @@ class _StepErrors:
                 self._exact = exact_evolution(self.hamiltonian, self.t, matrix=self._hamiltonian_matrix())
             return [operator_norm(self._exact - amplified)]
         # U^r from the r-th powers of the eigenphases, A^r by repeated multiplication
-        eigenvalues, eigenvectors = _spectrum(self.hamiltonian, matrix=self._hamiltonian_matrix())
+        eigenvalues, eigenvectors = np.linalg.eigh(self._hamiltonian_matrix())
         step_phases = np.exp(-1j * self.t * eigenvalues)
         phases, amplified_power = step_phases, amplified
         errors = []
@@ -321,7 +315,7 @@ class _StepErrors:
         out, so nothing cancels.
         """
         if self._eigenvalues is None:
-            self._eigenvalues = _spectrum(self.hamiltonian, eigenvectors=False, matrix=self._hamiltonian_matrix())
+            self._eigenvalues = np.linalg.eigvalsh(self._hamiltonian_matrix())
         x = -1j * self.t * self._eigenvalues
         # past 20 terms the remainder's tail is below 2.1 ln(2)^20 / 20! ~ 6e-22 of it
         term, remainder = np.ones_like(x), np.zeros_like(x)

@@ -151,27 +151,19 @@ def order_weights(
     hamiltonian: SortedHamiltonian,
     levels: "TruncationVector | Sequence[int]",
     t: float,
-    unit_order: int | None = None,
 ) -> list[float]:
     """Order weights ``[w_0, ..., w_K]``, each ``w_k = w_{k-1} * (t * Lambda_k / k)``.
 
-    ``K`` is the last order before the first empty one.  Order
-    ``unit_order`` counts its ``Lambda`` as 1 and as nonempty, for the
-    derivative of ``s`` in that ``Lambda``.
+    ``K`` is the last order before the first empty one.
     """
-    counts = checked_levels(hamiltonian, levels).levels
-    if unit_order is not None:
-        counts += (0,) * (unit_order - len(counts))
-    return _extend_weights([1.0], hamiltonian.prefix, counts, t, unit_order)
+    return _extend_weights([1.0], hamiltonian.prefix, checked_levels(hamiltonian, levels).levels, t)
 
 
-def _extend_weights(
-    weights: list[float], prefix: Sequence[float], counts: Sequence[int], t: float, unit_order: int | None = None
-) -> list[float]:
+def _extend_weights(weights: list[float], prefix: Sequence[float], counts: Sequence[int], t: float) -> list[float]:
     """Append to ``weights = [w_0, ..., w_j]`` the order weights of ``counts`` from order ``j + 1`` on."""
     weight = weights[-1]
     for k in range(len(weights), len(counts) + 1):
-        lam = 1.0 if k == unit_order else prefix[counts[k - 1]]
+        lam = prefix[counts[k - 1]]
         if lam == 0.0:
             break
         weight *= t * lam / k

@@ -2,6 +2,9 @@ from pathlib import Path
 
 import pytest
 
+# hypothesis also draws constants harvested from the loaded non-test modules;
+# loading every package module here gives the same pool under any test selection
+import lcutrunc.cli  # noqa: F401
 from lcutrunc.hamiltonian import parse_hamiltonian
 
 DATA_DIR = Path(__file__).parent / "data"

@@ -335,6 +335,18 @@ def test_unknown_extension_rejected(ham_file, tmp_path):
                  "--out", str(tmp_path / "plan.xml")]) == 2
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory-in-the-way"])
+def test_unwritable_out_is_an_input_error(ham_file, tmp_path, capsys, where):
+    if where == "missing-directory":
+        out = tmp_path / "nonexistent" / "x.json"
+    else:
+        out = tmp_path / "x.json"
+        out.mkdir()
+    assert main(["bound", "--hamiltonian", str(ham_file), "--order", "2", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -159,6 +159,8 @@ def test_series_product_ordering(two_term):
     h1 = hamiltonian_matrix(two_term, 1)
     expected = np.eye(4) + (-1j * t) * h2 + ((-1j * t) ** 2 / 2) * (h2 @ h1)
     assert np.abs(truncated_series_operator(two_term, (2, 1), t) - expected).max() <= 1e-13
+    # an empty order ends the series: orders past it are never read
+    assert np.array_equal(truncated_series_operator(two_term, (2, 0, 1), t), truncated_series_operator(two_term, (2,), t))
 
 
 def test_series_converges_to_exact_evolution():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcutrunc import planner
+from lcutrunc.densesim import truncated_series_operator
 from lcutrunc.errors import ConvergenceError
 from lcutrunc.hamiltonian import (
     HamiltonianTerm,
@@ -279,6 +280,8 @@ def test_levels_outside_the_term_range_are_rejected(two_term):
             s_value(two_term, levels, t)
         with pytest.raises(ValueError, match="outside 0..2"):
             insertion_gain(two_term, levels, 2, t)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            truncated_series_operator(two_term, levels, t)
     with pytest.raises(ValueError, match="nonnegative"):
         TruncationVector(levels=(1, 0, -1))
 

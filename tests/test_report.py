@@ -4,6 +4,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from lcutrunc.densesim import single_step_error
@@ -92,27 +93,23 @@ def test_dense_report_shares_its_spectral_work(monkeypatch):
 
     calls = Counter()
 
-    def counted(name):
-        original = getattr(densesim, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name, kwargs.get("eigenvectors", True)] += 1
+            calls[name] += 1
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("hamiltonian_matrix", "_spectrum", "exact_evolution", "operator_norm"):
-        monkeypatch.setattr(densesim, name, counted(name))
+    for name in ("hamiltonian_matrix", "exact_evolution", "operator_norm"):
+        count(densesim, name)
+    for name in ("eigh", "eigvalsh"):
+        count(np.linalg, name)
     generate_comparison_report(logspread_hamiltonian(8, 2, 3, 4), 3, with_dense=True)
-    # one eigvalsh for the full orders; one exact evolution, and a norm per row, for
-    # the greedy vectors; both spectra read one dense H
-    assert calls == {
-        ("hamiltonian_matrix", True): 1,
-        ("_spectrum", False): 1,
-        ("exact_evolution", True): 1,
-        ("_spectrum", True): 1,
-        ("operator_norm", True): 3,
-    }
+    # one eigvalsh for the full orders; one exact evolution with its eigh, and a
+    # norm per row, for the greedy vectors; both spectra read one dense H
+    assert calls == {"hamiltonian_matrix": 1, "eigvalsh": 1, "exact_evolution": 1, "eigh": 1, "operator_norm": 3}
 
 
 def test_logspread_advantage_is_reported():
