@@ -1,13 +1,18 @@
 """Command-line front end.
 
-Every command reads a Hamiltonian term-list file and writes its result to
-``--out`` (format chosen by extension) or stdout.  Exit codes: 0 success,
+Every command writes its result to ``--out`` (format chosen by extension) or
+stdout.  One runner serves them all: it checks the ``--out`` extension and
+directory before any work, loads the ``--hamiltonian`` or ``--template`` input
+once, runs the command for its text and writes it.  Exit codes: 0 success,
 2 input error, 3 size cap exceeded, 4 non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +38,7 @@ def _load_hamiltonian(path: str) -> SortedHamiltonian:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise TermListError(f"cannot read {path}: {exc}") from None
+        raise TermListError(f"cannot read {path}: {exc.strerror}") from None
     return parse_hamiltonian(text, label=path)
 
 
@@ -62,66 +67,72 @@ def _emit(text: str, out: str | None) -> None:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc}") from None
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
 
-def _format_of(out: str | None, allowed: tuple[str, ...]) -> str:
-    if out is None:
-        return allowed[0]
+def _format_of(out: str | None, allowed: tuple[str, ...]) -> str | None:
+    """The format named by ``out``'s extension; without ``allowed`` (generators) any extension passes."""
+    if out is None or not allowed:
+        return allowed[0] if allowed else None
     suffix = Path(out).suffix.lstrip(".").lower()
     if suffix not in allowed:
         raise ValueError(f"output extension {suffix!r} not supported; use one of {allowed}")
     return suffix
 
 
-def _cmd_plan(args) -> int:
-    fmt = _format_of(args.out, ("json", "csv"))
-    hamiltonian = _load_hamiltonian(args.hamiltonian)
-    if (args.budget is None) == (args.target_epsilon is None):
-        raise ValueError("specify exactly one of --budget or --target-epsilon")
-    trace = planner.greedy_plan(
-        hamiltonian, budget=args.budget, target_epsilon=args.target_epsilon
-    )
-    _emit(trace.to_json() if fmt == "json" else trace.to_csv(), args.out)
+def _check_out_directory(out: str | None) -> None:
+    """Raise, creating no file, where writing ``out`` is sure to fail."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir() or not path.parent.is_dir():
+        reason = errno.EISDIR if path.is_dir() else errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        raise ValueError(f"cannot write {out}: {os.strerror(reason)}")
+
+
+def _run(args) -> int:
+    fmt = _format_of(args.out, args.formats)
+    _check_out_directory(args.out)
+    hamiltonian = _load_hamiltonian(getattr(args, args.source)) if args.source else None
+    _emit(args.run(args, hamiltonian, fmt), args.out)
     return EXIT_OK
 
 
-def _cmd_bound(args) -> int:
-    import json
+def _plan(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
+    if (args.budget is None) == (args.target_epsilon is None):
+        raise ValueError("specify exactly one of --budget or --target-epsilon")
+    trace = planner.greedy_plan(hamiltonian, budget=args.budget, target_epsilon=args.target_epsilon)
+    return trace.to_json() if fmt == "json" else trace.to_csv()
 
-    _format_of(args.out, ("json",))
-    hamiltonian = _load_hamiltonian(args.hamiltonian)
+
+def _bound(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
     levels = _resolve_levels(args, hamiltonian)
+    t_infinity = planner.t_infinity(hamiltonian)
     payload = {
         "hamiltonian": hamiltonian.label,
         "levels": list(levels.levels),
         "cost": levels.cost,
         "kappa": levels.kappa,
         "lambda_total": hamiltonian.lambda_total,
-        "t_infinity": planner.t_infinity(hamiltonian),
-        "s_at_t_infinity": planner.s_value(hamiltonian, levels, planner.t_infinity(hamiltonian)),
+        "t_infinity": t_infinity,
+        "s_at_t_infinity": planner.s_value(hamiltonian, levels, t_infinity),
         "epsilon": planner.epsilon_bound(hamiltonian, levels),
-        "t_root": planner.solve_t_root(hamiltonian, levels) if levels.kappa else None,
+        # an empty first order leaves s(t) = 1, which never reaches 2
+        "t_root": planner.solve_t_root(hamiltonian, levels) if levels.level(1) else None,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_simulate(args) -> int:
-    fmt = _format_of(args.out, ("json", "csv"))
-    hamiltonian = _load_hamiltonian(args.hamiltonian)
+def _simulate(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
     levels = _resolve_levels(args, hamiltonian)
     if args.r_max == 1:
         result = densesim.single_step_error(hamiltonian, levels)
     else:
         result = densesim.multi_step_error(hamiltonian, levels, args.r_max)
-    _emit(result.to_json() if fmt == "json" else result.to_csv(), args.out)
-    return EXIT_OK
+    return result.to_json() if fmt == "json" else result.to_csv()
 
 
-def _cmd_compare(args) -> int:
-    fmt = _format_of(args.out, ("csv", "json"))
-    hamiltonian = _load_hamiltonian(args.hamiltonian)
+def _compare(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
     with_dense = args.dense
     if with_dense:
         try:
@@ -130,35 +141,19 @@ def _cmd_compare(args) -> int:
             warnings.warn(f"{exc}; reporting bounds only")
             with_dense = False
     rows = report.generate_comparison_report(hamiltonian, args.n_max, with_dense=with_dense)
-    _emit(report.serialize_report(rows, fmt).decode(), args.out)
-    return EXIT_OK
+    return report.serialize_report(rows, fmt).decode()
 
 
-def _cmd_resources(args) -> int:
-    _format_of(args.out, ("json",))
-    hamiltonian = _load_hamiltonian(args.hamiltonian)
-    levels = _resolve_levels(args, hamiltonian)
-    _emit(estimate_resources(levels).to_json(), args.out)
-    return EXIT_OK
+def _resources(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
+    return estimate_resources(_resolve_levels(args, hamiltonian)).to_json()
 
 
-def _cmd_gen_random(args) -> int:
-    template = _load_hamiltonian(args.template)
-    generated = random_hamiltonian(template, args.mu, args.sigma, args.seed)
-    _emit(format_term_list(generated), args.out)
-    return EXIT_OK
+def _gen_random(args, template: SortedHamiltonian, fmt: None) -> str:
+    return format_term_list(random_hamiltonian(template, args.mu, args.sigma, args.seed))
 
 
-def _cmd_gen_logspread(args) -> int:
-    generated = logspread_hamiltonian(args.terms, args.decades, args.qubits, args.seed)
-    _emit(format_term_list(generated), args.out)
-    return EXIT_OK
-
-
-def _add_levels_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--levels", help="comma-separated per-order term counts, e.g. 2,1")
-    sub.add_argument("--order", type=int, help="full expansion to this order")
-    sub.add_argument("--budget", type=int, help="greedy plan with this gate budget")
+def _gen_logspread(args, source: None, fmt: None) -> str:
+    return format_term_list(logspread_hamiltonian(args.terms, args.decades, args.qubits, args.seed))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,54 +163,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    plan = commands.add_parser("plan", help="greedy truncation plan")
-    plan.add_argument("--hamiltonian", required=True)
+    def command(name, help, run, formats=(), source="hamiltonian", levels=False):
+        """A subcommand with ``--<source>`` (if given), the levels options and ``--out``, for :func:`_run`."""
+        sub = commands.add_parser(name, help=help)
+        if source:
+            sub.add_argument(f"--{source}", required=True)
+        if levels:
+            sub.add_argument("--levels", help="comma-separated per-order term counts, e.g. 2,1")
+            sub.add_argument("--order", type=int, help="full expansion to this order")
+            sub.add_argument("--budget", type=int, help="greedy plan with this gate budget")
+        sub.add_argument("--out")
+        sub.set_defaults(run=run, formats=formats, source=source)
+        return sub
+
+    plan = command("plan", "greedy truncation plan", _plan, ("json", "csv"))
     plan.add_argument("--budget", type=int)
     plan.add_argument("--target-epsilon", type=float)
-    plan.add_argument("--out")
-    plan.set_defaults(func=_cmd_plan)
 
-    bound = commands.add_parser("bound", help="analytic error bound for a truncation")
-    bound.add_argument("--hamiltonian", required=True)
-    _add_levels_options(bound)
-    bound.add_argument("--out")
-    bound.set_defaults(func=_cmd_bound)
+    command("bound", "analytic error bound for a truncation", _bound, ("json",), levels=True)
 
-    simulate = commands.add_parser("simulate", help="measure exact errors densely")
-    simulate.add_argument("--hamiltonian", required=True)
-    _add_levels_options(simulate)
+    simulate = command("simulate", "measure exact errors densely", _simulate, ("json", "csv"), levels=True)
     simulate.add_argument("--r-max", type=int, default=1, help="measure up to this many repeated steps")
-    simulate.add_argument("--out")
-    simulate.set_defaults(func=_cmd_simulate)
 
-    compare = commands.add_parser("compare", help="full-order vs greedy at equal cost")
-    compare.add_argument("--hamiltonian", required=True)
+    compare = command("compare", "full-order vs greedy at equal cost", _compare, ("csv", "json"))
     compare.add_argument("--n-max", type=int, required=True)
     compare.add_argument("--dense", action="store_true", help="also measure exact errors")
-    compare.add_argument("--out")
-    compare.set_defaults(func=_cmd_compare)
 
-    resources = commands.add_parser("resources", help="ancilla and gate-count estimates")
-    resources.add_argument("--hamiltonian", required=True)
-    _add_levels_options(resources)
-    resources.add_argument("--out")
-    resources.set_defaults(func=_cmd_resources)
+    command("resources", "ancilla and gate-count estimates", _resources, ("json",), levels=True)
 
-    gen_random = commands.add_parser("gen-random", help="template with redrawn random weights")
-    gen_random.add_argument("--template", required=True)
+    gen_random = command("gen-random", "template with redrawn random weights", _gen_random, source="template")
     gen_random.add_argument("--mu", type=float, default=1.0)
     gen_random.add_argument("--sigma", type=float, default=0.1)
     gen_random.add_argument("--seed", type=int, required=True)
-    gen_random.add_argument("--out")
-    gen_random.set_defaults(func=_cmd_gen_random)
 
-    gen_logspread = commands.add_parser("gen-logspread", help="synthetic magnitude-spread Hamiltonian")
+    gen_logspread = command("gen-logspread", "synthetic magnitude-spread Hamiltonian", _gen_logspread, source=None)
     gen_logspread.add_argument("--terms", type=int, required=True)
     gen_logspread.add_argument("--decades", type=float, required=True)
     gen_logspread.add_argument("--qubits", type=int, required=True)
     gen_logspread.add_argument("--seed", type=int, required=True)
-    gen_logspread.add_argument("--out")
-    gen_logspread.set_defaults(func=_cmd_gen_logspread)
 
     return parser
 
@@ -227,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = args.func(args)
+            code = _run(args)
         except (TermListError, ValueError) as exc:
             code, error = EXIT_INPUT, exc
         except CapExceeded as exc:

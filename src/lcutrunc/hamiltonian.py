@@ -252,6 +252,11 @@ def random_hamiltonian(
         raise ValueError("mu and sigma are both 0, so every drawn weight would be 0")
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
+    if (smallest := float(draws.min())) < DROP_THRESHOLD:
+        raise ValueError(
+            f"mu {mu} and sigma {sigma} drew the weight {smallest!r}, "
+            f"which would be dropped on parsing, below {DROP_THRESHOLD}"
+        )
     terms = [HamiltonianTerm(alpha=a, op=term.op) for a, term in zip(draws, template.terms)]
     return SortedHamiltonian.from_terms(terms, label=f"{template.label}+random" if template.label else "random")
 

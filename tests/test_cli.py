@@ -56,6 +56,14 @@ def test_bound_command(ham_file, tmp_path):
     assert payload["t_root"] == pytest.approx(0.6787441193290351, abs=1e-9)
 
 
+@pytest.mark.parametrize("levels", ["0", "0,1"])
+def test_bound_with_an_empty_first_order_has_no_t_root(ham_file, capsys, levels):
+    # s(t) = 1 for both vectors: every product past order 1 takes the empty first order
+    assert main(["bound", "--hamiltonian", str(ham_file), "--levels", levels]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t_root"] is None and payload["s_at_t_infinity"] == 1.0
+
+
 def test_bound_with_order_to_stdout(ham_file, capsys):
     assert main(["bound", "--hamiltonian", str(ham_file), "--order", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -212,6 +220,16 @@ def test_gen_random_rejects_zero_mu_and_sigma(ham_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_random_rejects_weights_that_parsing_would_drop(tmp_path, capsys):
+    out = tmp_path / "random.txt"
+    argv = ["gen-random", "--template", str(DATA_DIR / "h2_sto3g.txt"), "--mu", "1e-16", "--sigma", "0",
+            "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "mu 1e-16 and sigma 0.0" in err and "dropped on parsing" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["bound", "--order", "2"], ["plan", "--budget", "3"], ["simulate", "--levels", "1"]])
 def test_overflowing_weight_sum_is_an_input_error(tmp_path, capsys, argv):
     path = tmp_path / "big.txt"
@@ -223,7 +241,10 @@ def test_overflowing_weight_sum_is_an_input_error(tmp_path, capsys, argv):
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):
-    assert main(["plan", "--hamiltonian", str(tmp_path / "nope.txt"), "--budget", "1"]) == 2
+    # each error line names the path once
+    for path, reason in [(tmp_path / "nope.txt", "No such file or directory"), (tmp_path, "Is a directory")]:
+        assert main(["plan", "--hamiltonian", str(path), "--budget", "1"]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_malformed_file_is_input_error(tmp_path):
@@ -335,16 +356,21 @@ def test_unknown_extension_rejected(ham_file, tmp_path):
                  "--out", str(tmp_path / "plan.xml")]) == 2
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory-in-the-way"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory-in-the-way", "file-in-the-way"])
 def test_unwritable_out_is_an_input_error(ham_file, tmp_path, capsys, where):
     if where == "missing-directory":
-        out = tmp_path / "nonexistent" / "x.json"
+        out, reason = tmp_path / "nonexistent" / "x.json", "No such file or directory"
+    elif where == "file-in-the-way":
+        out, reason = ham_file / "x.json", "Not a directory"
     else:
-        out = tmp_path / "x.json"
+        out, reason = tmp_path / "x.json", "Is a directory"
         out.mkdir()
-    assert main(["bound", "--hamiltonian", str(ham_file), "--order", "2", "--out", str(out)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+    for argv in (
+        ["bound", "--hamiltonian", str(ham_file), "--order", "2"],
+        ["gen-logspread", "--terms", "4", "--decades", "1", "--qubits", "2", "--seed", "1"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -359,19 +385,24 @@ def test_unwritable_out_is_an_input_error(ham_file, tmp_path, capsys, where):
     ids=lambda argv: argv[0],
 )
 def test_out_extension_is_checked_before_any_planning(ham_file, tmp_path, monkeypatch, capsys, argv):
+    import lcutrunc.densesim as densesim_module
     import lcutrunc.planner as planner_module
     import lcutrunc.report as report_module
 
-    def no_planning(*args, **kwargs):
-        raise AssertionError("planned before checking --out")
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
 
     # the greedy kernel runs behind greedy_plan, --budget and compare alike
-    monkeypatch.setattr(planner_module, "_greedy", no_planning)
-    monkeypatch.setattr(report_module, "_greedy", no_planning)
-    out = tmp_path / "result.txt"
-    assert main([argv[0], "--hamiltonian", str(ham_file), *argv[1:], "--out", str(out)]) == 2
-    assert "output extension 'txt' not supported" in capsys.readouterr().err
-    assert not out.exists()
+    monkeypatch.setattr(planner_module, "_greedy", no_work)
+    monkeypatch.setattr(report_module, "_greedy", no_work)
+    monkeypatch.setattr(densesim_module, "hamiltonian_matrix", no_work)
+    for out, message in [
+        (tmp_path / "result.txt", "output extension 'txt' not supported"),
+        (tmp_path / "missing" / "result.json", "No such file or directory"),
+    ]:
+        assert main([argv[0], "--hamiltonian", str(ham_file), *argv[1:], "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_parse_warnings_print_as_warning_lines_before_errors(tmp_path, capsys):
