@@ -39,6 +39,8 @@ def _load_hamiltonian(path: str) -> SortedHamiltonian:
         text = Path(path).read_text()
     except OSError as exc:
         raise TermListError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise TermListError(f"cannot read {path}: {exc}") from None
     return parse_hamiltonian(text, label=path)
 
 

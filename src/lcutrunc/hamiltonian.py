@@ -250,6 +250,8 @@ def random_hamiltonian(
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if mu == 0 and sigma == 0:
         raise ValueError("mu and sigma are both 0, so every drawn weight would be 0")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
     if (smallest := float(draws.min())) < DROP_THRESHOLD:
@@ -285,6 +287,8 @@ def logspread_hamiltonian(
             f"decades {decades} is too large: the smallest weight {alphas[-1]!r} "
             f"would be dropped on parsing, below {DROP_THRESHOLD}"
         )
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     chosen: set[int] = set()
     codes: list[int] = []

@@ -18,11 +18,11 @@ the order whose next term buys the largest increase of ``s`` (equivalently,
 the largest decrease of the error bound) per unit of gate cost.  It keeps
 the order weights across steps and recomputes only those from the bumped
 order on.  Each step makes one reverse scan over them, down to the lowest
-order that is not full, which gives the bound and estimates every order's
-gain.  :func:`greedy_plan` adds about one :func:`insertion_gain` call, which
-confirms the winner and supplies the recorded gain.  Callers that need only
-the levels or the bounds (``--budget`` and ``compare``) record no gains and
-confirm only near-ties and gains near underflow.
+order that is not full, which gives the bound, the best gain estimate and
+the runner-up.  :func:`greedy_plan` adds about one :func:`insertion_gain`
+call, which confirms the winner and supplies the recorded gain.  Callers that
+need only the levels or the bounds (``--budget`` and ``compare``) record no
+gains and confirm only near-ties and gains near underflow.
 """
 
 from __future__ import annotations
@@ -190,39 +190,52 @@ def s_value(
     return _sum_in_order(order_weights(hamiltonian, levels, t))
 
 
+def _order_tables(t: float, orders: int) -> tuple[list[float], list[float]]:
+    """``t / m`` and ``ln 2 / m`` for the orders ``m = 1 .. min(orders, 200)``, entry 0 unused."""
+    ln2, stop = math.log(2.0), min(orders, len(_PHI) - 1) + 1
+    return [0.0] + [t / m for m in range(1, stop)], [0.0] + [ln2 / m for m in range(1, stop)]
+
+
 def _scan(
-    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], t: float, lowest: int = 1
-) -> tuple[float, list[tuple[int, float]], float]:
-    """The bound, each open order's ``(k, gain estimate)`` ascending in k, and the best estimate.
+    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], lowest: int,
+    tables: tuple[list[float], list[float]], estimates: list[float],
+) -> tuple[float, float, int, float]:
+    """The bound, the best gain estimate, its order and the runner-up estimate.
 
     ``w`` are the order weights of ``counts`` (contiguous for the estimates),
-    ``t = t_inf``, and one pass runs from the top live order ``K`` down to
-    order ``lowest``.  Every order below ``lowest`` must hold all ``L`` terms:
-    its bound term, with ``Lambda - Lambda_L = 0.0``, is exactly 0.0, and it
-    has no estimate.  The bound is the omitted mass ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``:
-    term ``m`` holds the products whose first omitted factor lies in order ``m``;
-    order ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  With ``Lambda_k``
+    ``tables`` are :func:`_order_tables` at ``t = t_inf``, and one pass runs
+    from the top live order ``K`` down to order ``lowest``.  Every order below
+    ``lowest`` must hold all ``L`` terms: its bound term, with ``Lambda - Lambda_L = 0.0``,
+    is exactly 0.0, and it has no estimate.  The bound is the omitted mass
+    ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``: term ``m``
+    holds the products whose first omitted factor lies in order ``m``; order
+    ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  With ``Lambda_k``
     counted as 1 the weights from order ``k`` on are ``w_nu / Lambda_k``, so a
     nonfull order ``k <= K`` gains about ``alpha_{L_k+1} * S_k / Lambda_k`` with
     ``S_k = sum_{nu>=k} w_nu``, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.
+    Each goes to ``estimates[k]``, ``k >= lowest``; a full order gets ``-inf``, which no screen floor admits.
     """
-    terms, prefix, suffix, num_terms = hamiltonian.terms, hamiltonian.prefix, hamiltonian.suffix, hamiltonian.num_terms
-    top = min(len(weights) - 1, len(_PHI) - 2)
-    epsilon = weights[top] * (math.log(2.0) / (top + 1)) * _PHI[top + 1]
-    best = terms[0].alpha * (weights[top] * (t / (top + 1)))
-    estimates = [(top + 1, best)]
-    tail = 0.0
+    terms, prefix, suffix = hamiltonian.terms, hamiltonian.prefix, hamiltonian.suffix
+    num_terms, (t_over, ln2_over) = len(terms), tables
+    top = len(weights) - 1 if len(weights) < len(_PHI) else len(_PHI) - 2
+    weight = weights[top]
+    epsilon = weight * ln2_over[top + 1] * _PHI[top + 1]
+    best = estimates[top + 1] = terms[0].alpha * (weight * t_over[top + 1])
+    best_k, runner_up, tail = top + 1, -math.inf, 0.0
     for m in range(top, lowest - 1, -1):
+        tail += weight
+        weight = weights[m - 1]
         count = counts[m - 1]
-        epsilon += weights[m - 1] * suffix[count] * (t / m) * _PHI[m]
-        tail += weights[m]
+        epsilon += weight * suffix[count] * t_over[m] * _PHI[m]
         if count < num_terms:
-            estimate = terms[count].alpha * (tail / prefix[count])
-            estimates.append((m, estimate))
+            estimate = estimates[m] = terms[count].alpha * (tail / prefix[count])
             if estimate > best:
-                best = estimate
-    estimates.reverse()
-    return epsilon, estimates, best
+                best, best_k, runner_up = estimate, m, best
+            elif estimate > runner_up:
+                runner_up = estimate
+        else:
+            estimates[m] = -math.inf
+    return epsilon, best, best_k, runner_up
 
 
 def epsilon_bound(
@@ -236,7 +249,8 @@ def epsilon_bound(
     """
     vec = checked_levels(hamiltonian, levels)
     t = t_infinity(hamiltonian)
-    return _scan(hamiltonian, vec.levels, order_weights(hamiltonian, vec, t), t)[0]
+    weights = order_weights(hamiltonian, vec, t)
+    return _scan(hamiltonian, vec.levels, weights, 1, _order_tables(t, len(weights)), [0.0] * (len(weights) + 1))[0]
 
 
 def insertion_gain(
@@ -253,21 +267,27 @@ def insertion_gain(
     """
     if k < 1:
         raise ValueError("order index is 1-based")
-    counts = checked_levels(hamiltonian, levels).levels
+    counts, num_terms = checked_levels(hamiltonian, levels).levels, hamiltonian.num_terms
     count_k = counts[k - 1] if k <= len(counts) else 0
-    if count_k >= hamiltonian.num_terms:
-        raise ValueError(f"order {k} already contains all {hamiltonian.num_terms} terms")
+    if count_k >= num_terms:
+        raise ValueError(f"order {k} already contains all {num_terms} terms")
     if t is None:
         t = t_infinity(hamiltonian)
     if k > len(counts):
         counts += (0,) * (k - len(counts))
     prefix, weight, total = hamiltonian.prefix, 1.0, 0.0
-    for j in range(1, len(counts) + 1):
-        lam = 1.0 if j == k else prefix[counts[j - 1]]
+    for j in range(1, k):
+        lam = prefix[counts[j - 1]]
         if lam == 0.0:
             break
         weight *= t * lam / j
-        if j >= k:
+    else:
+        total = weight = weight * (t / k)
+        for j in range(k + 1, len(counts) + 1):
+            lam = prefix[counts[j - 1]]
+            if lam == 0.0:
+                break
+            weight *= t * lam / j
             total += weight
     return hamiltonian.terms[count_k].alpha * total
 
@@ -391,14 +411,13 @@ def _greedy(
 ) -> tuple[list[int], list[float], list[float], TruncationVector]:
     """The greedy loop: each step's order, the bound after each step, the gains and the final levels.
 
-    The order weights are kept across steps; bumping order ``b`` refills only
-    ``w_b, ..., w_K``.  One :func:`_scan` per step, down to the lowest order
-    that is not full, gives the bound and every open order's gain estimate.
-    :func:`insertion_gain` confirms the orders whose estimate lies within
-    ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best.
-    Without ``record_gains`` the gains stay empty, and a lone order whose
-    estimate is above the absolute margin is taken unconfirmed: its
-    confirmed gain is above 0, so the confirmation would take it too.
+    The order weights are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.
+    One :func:`_scan` per step (tables built once per call) gives the bound, the best estimate and
+    the runner-up, and fills one estimate buffer, which is read only when the runner-up lies within
+    ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best, or the best within the
+    latter of 0: :func:`insertion_gain` confirms the orders it admits.  Else the best order is
+    confirmed for its recorded gain, or without ``record_gains`` taken unconfirmed: its confirmed
+    gain is above 0, so confirming would take it too.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -407,35 +426,35 @@ def _greedy(
     if target_epsilon is not None and not 0.0 < target_epsilon < 1.0:
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
 
-    t = t_infinity(hamiltonian)
-    num_terms = hamiltonian.num_terms
+    t, num_terms = t_infinity(hamiltonian), hamiltonian.num_terms
     cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
     screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
+    tables, estimates = _order_tables(t, len(_PHI)), [0.0] * len(_PHI)  # K stays below 200
 
     counts: list[int] = []
-    weights = [1.0]
+    weights, prefix = [1.0], hamiltonian.prefix
     lowest = 1  # the lowest order that is not full
+    stop_epsilon = -1.0 if target_epsilon is None else target_epsilon  # a bound is never negative
     chosen: list[int] = []
     epsilons: list[float] = []
     gains: list[float] = []
 
-    while True:
+    for cost in range(cost_cap + 1):
         # the step's scan also gives the bound after the previous step
-        epsilon, estimates, best = _scan(hamiltonian, counts, weights, t, lowest)
-        if chosen:
+        epsilon, best, best_k, runner_up = _scan(hamiltonian, counts, weights, lowest, tables, estimates)
+        if cost:
             epsilons.append(epsilon)
-        if budget is not None and len(chosen) >= budget:
+        if epsilon <= stop_epsilon:
             break
-        if target_epsilon is not None and epsilon <= target_epsilon:
+        if cost == cost_cap:
+            if budget is None:
+                raise ConvergenceError(f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}")
             break
-        if len(chosen) >= cost_cap:
-            raise ConvergenceError(
-                f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}"
-            )
 
         floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
-        candidates = [k for k, estimate in estimates if estimate >= floor]
-        if record_gains or len(candidates) > 1 or best <= screen_atol:
+        near_tie = runner_up >= floor or best <= screen_atol
+        if record_gains or near_tie:
+            candidates = [k for k in range(lowest, len(weights) + 1) if estimates[k] >= floor] if near_tie else [best_k]
             current = TruncationVector(levels=tuple(counts))
             best_k, best_gain = 0, 0.0
             for k in candidates:
@@ -443,14 +462,9 @@ def _greedy(
                 if gain > best_gain:
                     best_k, best_gain = k, gain
             if best_k == 0:
-                raise ConvergenceError(
-                    "no insertion improves the bound in double precision; "
-                    f"stopped at cost {len(chosen)}"
-                )
+                raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
             if record_gains:
                 gains.append(best_gain)
-        else:
-            best_k = candidates[0]
 
         if best_k > len(counts):
             counts.append(0)
@@ -459,6 +473,6 @@ def _greedy(
             lowest += 1
         chosen.append(best_k)
         del weights[best_k:]  # orders below best_k keep their weights
-        _extend_weights(weights, hamiltonian.prefix, counts, t)
+        _extend_weights(weights, prefix, counts, t)
 
     return chosen, epsilons, gains, TruncationVector(levels=tuple(counts))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import hashlib
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -230,6 +231,22 @@ def test_gen_random_rejects_weights_that_parsing_would_drop(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_random_rejects_a_negative_seed_naming_it(ham_file, tmp_path, capsys):
+    out = tmp_path / "random.txt"
+    argv = ["gen-random", "--template", str(ham_file), "--mu", "1.0", "--sigma", "0.1", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_gen_logspread_rejects_a_negative_seed_naming_it(tmp_path, capsys):
+    out = tmp_path / "spread.txt"
+    argv = ["gen-logspread", "--terms", "4", "--decades", "1", "--qubits", "2", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["bound", "--order", "2"], ["plan", "--budget", "3"], ["simulate", "--levels", "1"]])
 def test_overflowing_weight_sum_is_an_input_error(tmp_path, capsys, argv):
     path = tmp_path / "big.txt"
@@ -245,6 +262,15 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     for path, reason in [(tmp_path / "nope.txt", "No such file or directory"), (tmp_path, "Is a directory")]:
         assert main(["plan", "--hamiltonian", str(path), "--budget", "1"]) == 2
         assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
+
+def test_input_that_is_not_utf8_is_an_input_error_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe1\x00 \x00Z\x00")
+    assert main(["bound", "--hamiltonian", str(path), "--order", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count(str(path)) == 1
 
 
 def test_malformed_file_is_input_error(tmp_path):
@@ -312,22 +338,30 @@ def test_plan_outputs_are_pinned_to_exact_bytes(ham_file, tmp_path, monkeypatch)
 
 
 PINNED_PLAN_LARGE_SMALL = {
+    "plan_budget.csv": ["plan", "--budget", "800"],
+    "plan_target.json": ["plan", "--target-epsilon", "1e-10"],
     "bound.json": ["bound", "--budget", "800"],
     "resources.json": ["resources", "--budget", "800"],
     "compare.csv": ["compare", "--n-max", "3"],
     "compare.json": ["compare", "--n-max", "3"],
 }
+# outputs too large to keep under tests/data: 1,819 recorded steps, 223 KB
+PINNED_SHA256 = {"plan_target.json": "99295e7168f82ee14beca39fa28b0896c8734536a0f4ea8b3a02855b9fe23871"}
 
 
 @pytest.mark.parametrize("filename", PINNED_PLAN_LARGE_SMALL)
 def test_budget_and_compare_outputs_of_the_reduced_plan_large_input_are_pinned(tmp_path, monkeypatch, filename):
-    # the greedy runs behind these commands record no gains; their bytes must
-    # stay those of the plan that records every gain
+    # every recorded step's order, gain, bound and cost, and the levels-only
+    # runs behind --budget and compare, which must take the same steps
     monkeypatch.chdir(tmp_path)
     Path("plan_large_small.txt").write_text(format_term_list(logspread_hamiltonian(200, 6.0, 8, seed=100)))
     command, *options = PINNED_PLAN_LARGE_SMALL[filename]
     assert main([command, "--hamiltonian", "plan_large_small.txt", *options, "--out", filename]) == 0
-    assert Path(filename).read_bytes() == (DATA_DIR / "plan_large_small" / filename).read_bytes()
+    data = Path(filename).read_bytes()
+    if filename in PINNED_SHA256:
+        assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[filename]
+    else:
+        assert data == (DATA_DIR / "plan_large_small" / filename).read_bytes()
 
 
 def test_plan_reaches_a_target_below_the_cancellation_floor_of_2_minus_s(tmp_path):

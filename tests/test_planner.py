@@ -408,7 +408,11 @@ def screen_cases():
     # float, where rounding is absolute and a relative screen alone picks
     # order 165 over the reference's 163 at step 656
     subnormal = parse_hamiltonian("1.805068619253194e-05 XX\n1.803315903513268 YX\n1.0 ZX\n1.0 IX")
-    return cases + [("subnormal-weights", subnormal, 658, None)]
+    cases.append(("subnormal-weights", subnormal, 658, None))
+    # the absolute margin scales with alpha_1 to about 9.3e5, so the screen's
+    # floor is negative: every open order is confirmed, and a full one never is
+    huge = parse_hamiltonian("1e307 ZZ\n5e306 XX\n3e306 YY")
+    return cases + [("huge-weights", huge, 40, 1e-12)]
 
 
 SCREEN_CASES = screen_cases()
@@ -452,12 +456,18 @@ def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     worst = 0.0
     for cost in range(len(trace.steps)):
         vec = trace.levels_at_cost(cost)
-        epsilon, estimates, best = planner._scan(ham, vec.levels, planner.order_weights(ham, vec, t), t)
+        weights = planner.order_weights(ham, vec, t)
+        buffer = [math.nan] * (len(weights) + 1)
+        tables = planner._order_tables(t, len(weights))
+        epsilon, best, best_k, runner_up = planner._scan(ham, vec.levels, weights, 1, tables, buffer)
         assert epsilon == epsilon_bound(ham, vec)
-        assert best == max(estimate for _, estimate in estimates)
+        assert not any(map(math.isnan, buffer[1:]))  # a full order reads -inf
+        estimates = {k: estimate for k, estimate in enumerate(buffer) if k and estimate > -math.inf}
+        assert best == estimates[best_k] == max(estimates.values())
+        assert runner_up == max([-math.inf] + sorted(estimates.values())[:-1])
         expected = [k for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms]
-        assert [k for k, _ in estimates] == expected
-        for k, estimate in estimates:
+        assert list(estimates) == expected
+        for k, estimate in estimates.items():
             gain = insertion_gain(ham, vec, k, t)
             worst = max(worst, abs(estimate - gain) / gain)
     assert max(trace.final.levels) == ham.num_terms
