@@ -3,8 +3,9 @@
 Every command writes its result to ``--out`` (format chosen by extension) or
 stdout.  One runner serves them all: it checks the ``--out`` extension and
 directory before any work, loads the ``--hamiltonian`` or ``--template`` input
-once, runs the command for its text and writes it.  Exit codes: 0 success,
-2 input error, 3 size cap exceeded, 4 non-convergence.
+once, runs the command for its text and writes it.  ``plan`` hands over its
+text in pieces, one per step, written as they are formatted.  Exit codes:
+0 success, 2 input error, 3 size cap exceeded, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, ConvergenceError, TermListError
 from .hamiltonian import (
@@ -62,12 +64,15 @@ def _resolve_levels(args, hamiltonian: SortedHamiltonian) -> planner.TruncationV
     return planner._greedy(hamiltonian, args.budget, None, record_gains=False)[3]
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(output: str | Iterable[str], out: str | None) -> None:
+    """Write ``output``, one string or its pieces in order, to ``out`` or stdout."""
+    pieces = [output] if isinstance(output, str) else output
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as file:
+                file.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror}") from None
 
@@ -100,11 +105,12 @@ def _run(args) -> int:
     return EXIT_OK
 
 
-def _plan(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
+def _plan(args, hamiltonian: SortedHamiltonian, fmt: str) -> Iterator[str]:
+    """The plan's output pieces, to stream; the plan itself runs here, before any file opens."""
     if (args.budget is None) == (args.target_epsilon is None):
         raise ValueError("specify exactly one of --budget or --target-epsilon")
     trace = planner.greedy_plan(hamiltonian, budget=args.budget, target_epsilon=args.target_epsilon)
-    return trace.to_json() if fmt == "json" else trace.to_csv()
+    return trace._json_pieces() if fmt == "json" else trace._csv_pieces()
 
 
 def _bound(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:

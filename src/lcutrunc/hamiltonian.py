@@ -38,6 +38,7 @@ DROP_THRESHOLD = 1e-15
 
 _PHASE_PREFIX = {1 + 0j: "", -1 + 0j: "-", 1j: "", -1j: "-"}
 _PHASE_SUFFIX = {1 + 0j: "", -1 + 0j: "", 1j: "i", -1j: "i"}
+_AXES = frozenset("IXYZ")
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,8 @@ class PauliString:
     phase: complex = 1 + 0j
 
     def __post_init__(self):
-        bad = set(self.axes) - set("IXYZ")
-        if bad:
-            raise ValueError(f"invalid Pauli axes {sorted(bad)} in {self.axes!r}")
+        if not _AXES.issuperset(self.axes):
+            raise ValueError(f"invalid Pauli axes {sorted(set(self.axes) - _AXES)} in {self.axes!r}")
         if not self.axes:
             raise ValueError("Pauli string must act on at least one qubit")
         if self.phase not in PHASE_UNITS:
@@ -275,6 +275,8 @@ def logspread_hamiltonian(
     """
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
+    if not 1 <= qubit_count <= 31:  # operators are drawn as int64 codes below 4**qubit_count
+        raise ValueError(f"qubit_count must be from 1 to 31, got {qubit_count}")
     if not (math.isfinite(decades) and decades >= 0):
         raise ValueError(f"decades must be finite and nonnegative, got {decades}")
     if num_terms > 4**qubit_count:

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError
 from .hamiltonian import SortedHamiltonian
@@ -357,26 +357,34 @@ class PlanTrace:
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(payload, indent=2) + "\\n"`` for the payload of ``hamiltonian``,
-        ``t``, ``steps`` (``k``, ``gain``, ``epsilon``, ``cost``) and ``final_levels``, written
+        ``t``, ``steps`` (``k``, ``gain``, ``epsilon``, ``cost``) and ``final_levels``: the pieces
+        the CLI streams to its output, joined."""
+        return "".join(self._json_pieces())
+
+    def to_csv(self) -> str:
+        return "".join(self._csv_pieces())
+
+    def _json_pieces(self) -> Iterator[str]:
+        """:meth:`to_json` as a head, one piece per step with its separator, and a tail, written
         directly (the stdlib encoder runs in pure Python under ``indent``): ``float.__repr__``
         for the finite floats, ``json.dumps`` only for the label."""
         num = float.__repr__  # as the stdlib writes floats, numpy's included
-        steps = ",\n".join(
-            f'    {{\n      "k": {s.chosen_k},\n      "gain": {num(s.gain)},\n'
-            f'      "epsilon": {num(s.epsilon_after)},\n      "cost": {s.cost_after}\n    }}'
-            for s in self.steps
-        )
+        yield f'{{\n  "hamiltonian": {json.dumps(self.hamiltonian_id)},\n  "t": {num(self.t)},\n  "steps": ['
+        separator = "\n"
+        for s in self.steps:
+            yield (
+                f'{separator}    {{\n      "k": {s.chosen_k},\n      "gain": {num(s.gain)},\n'
+                f'      "epsilon": {num(s.epsilon_after)},\n      "cost": {s.cost_after}\n    }}'
+            )
+            separator = ",\n"
         levels = ",\n".join(f"    {v}" for v in self.final.levels)
-        return (
-            f'{{\n  "hamiltonian": {json.dumps(self.hamiltonian_id)},\n  "t": {num(self.t)},\n'
-            f'  "steps": {_json_array(steps)},\n  "final_levels": {_json_array(levels)}\n}}\n'
-        )
+        yield ("\n  ]" if self.steps else "]") + f',\n  "final_levels": {_json_array(levels)}\n}}\n'
 
-    def to_csv(self) -> str:
-        lines = ["step,k,gain,epsilon,cost"]
+    def _csv_pieces(self) -> Iterator[str]:
+        """:meth:`to_csv` as its header line and one line per step."""
+        yield "step,k,gain,epsilon,cost\n"
         for i, s in enumerate(self.steps, start=1):
-            lines.append(f"{i},{s.chosen_k},{s.gain!r},{s.epsilon_after!r},{s.cost_after}")
-        return "\n".join(lines) + "\n"
+            yield f"{i},{s.chosen_k},{s.gain!r},{s.epsilon_after!r},{s.cost_after}\n"
 
 
 def greedy_plan(

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from lcutrunc.cli import main
-from lcutrunc.hamiltonian import format_term_list, logspread_hamiltonian, parse_hamiltonian
+from lcutrunc.hamiltonian import SortedHamiltonian, format_term_list, logspread_hamiltonian, parse_hamiltonian
+from lcutrunc.planner import greedy_plan
 
 from conftest import DATA_DIR
 from util import omitted_mass_oracle
@@ -239,6 +241,22 @@ def test_gen_random_rejects_a_negative_seed_naming_it(ham_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_gen_logspread_draws_on_31_qubits(tmp_path):
+    out = tmp_path / "spread.txt"
+    argv = ["gen-logspread", "--terms", "4", "--decades", "1", "--qubits", "31", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert {len(term.op) for term in parse_hamiltonian(out.read_text()).terms} == {31}
+
+
+def test_gen_logspread_rejects_32_qubits_naming_the_value(tmp_path, capsys):
+    # 4**32 codes do not fit the int64 draws
+    out = tmp_path / "spread.txt"
+    argv = ["gen-logspread", "--terms", "4", "--decades", "1", "--qubits", "32", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: qubit_count must be from 1 to 31, got 32\n"
+    assert not out.exists()
+
+
 def test_gen_logspread_rejects_a_negative_seed_naming_it(tmp_path, capsys):
     out = tmp_path / "spread.txt"
     argv = ["gen-logspread", "--terms", "4", "--decades", "1", "--qubits", "2", "--seed", "-1", "--out", str(out)]
@@ -283,7 +301,10 @@ def test_unreachable_target_is_convergence_error(ham_file, monkeypatch):
     import lcutrunc.planner as planner_module
 
     monkeypatch.setattr(planner_module, "DEFAULT_COST_CAP_FACTOR", 2)
-    assert main(["plan", "--hamiltonian", str(ham_file), "--target-epsilon", "1e-12"]) == 4
+    out = ham_file.parent / "plan.json"
+    assert main(["plan", "--hamiltonian", str(ham_file), "--target-epsilon", "1e-12", "--out", str(out)]) == 4
+    # the plan runs before the output file opens, so a failed plan leaves none
+    assert not out.exists()
 
 
 def test_bad_levels_string(ham_file):
@@ -362,6 +383,50 @@ def test_budget_and_compare_outputs_of_the_reduced_plan_large_input_are_pinned(t
         assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[filename]
     else:
         assert data == (DATA_DIR / "plan_large_small" / filename).read_bytes()
+
+
+def _plan_large_small(directory: Path) -> tuple[str, SortedHamiltonian]:
+    """The reduced plan-large input written to ``directory``, its path and its parse."""
+    path = str(directory / "plan_large_small.txt")
+    Path(path).write_text(format_term_list(logspread_hamiltonian(200, 6.0, 8, seed=100)))
+    return path, parse_hamiltonian(Path(path).read_text(), label=path)
+
+
+@pytest.mark.parametrize("out", [None, "plan.json", "plan.csv"])
+def test_plan_streams_the_bytes_of_to_json_and_to_csv(tmp_path, capsys, out):
+    # without --out the format is JSON, as for every command with formats
+    path, hamiltonian = _plan_large_small(tmp_path)
+    trace = greedy_plan(hamiltonian, target_epsilon=1e-10)
+    argv = ["plan", "--hamiltonian", path, "--target-epsilon", "1e-10"]
+    if out is None:
+        assert main(argv) == 0
+        written = capsys.readouterr().out.encode()
+    else:
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0
+        written = (tmp_path / out).read_bytes()
+    expected = trace.to_csv() if out == "plan.csv" else trace.to_json()
+    assert written == expected.encode()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plan_holds_less_than_its_output_beyond_the_plan_itself(tmp_path, fmt):
+    # the trace is held once; its text is written as it is formatted, never held whole
+    path, hamiltonian = _plan_large_small(tmp_path)
+    out = tmp_path / f"plan.{fmt}"
+    argv = ["plan", "--hamiltonian", path, "--target-epsilon", "1e-10", "--out", str(out)]
+    assert main(argv) == 0  # untraced, so the first call's one-time allocations are not counted
+    plan_peak = _traced_peak(lambda: greedy_plan(hamiltonian, target_epsilon=1e-10))
+    cli_peak = _traced_peak(lambda: main(argv))
+    assert cli_peak - plan_peak < out.stat().st_size
 
 
 def test_plan_reaches_a_target_below_the_cancellation_floor_of_2_minus_s(tmp_path):

@@ -64,6 +64,11 @@ def test_imaginary_coefficients_fold_into_phase():
     assert parse_hamiltonian("0.5j X").terms[0].op.phase == 1j
 
 
+def test_invalid_pauli_axes_are_named_sorted():
+    with pytest.raises(TermListError, match=r"^line 1: invalid Pauli axes \['A', 'Q'\] in 'ZQAQ'$"):
+        parse_hamiltonian("1.0 ZQAQ")
+
+
 def test_general_complex_phase_rejected():
     with pytest.raises(TermListError, match="line 2"):
         parse_hamiltonian("1.0 Z\n0.3+0.4i Z")
@@ -325,6 +330,12 @@ def test_logspread_validation():
         logspread_hamiltonian(0, 1.0, 2, seed=1)
     with pytest.raises(ValueError):
         logspread_hamiltonian(5, 1.0, 1, seed=1)  # only 4 distinct strings on 1 qubit
+
+
+@pytest.mark.parametrize("qubit_count", [-1, 0, 32])
+def test_logspread_rejects_qubit_counts_outside_1_to_31(qubit_count):
+    with pytest.raises(ValueError, match=f"^qubit_count must be from 1 to 31, got {qubit_count}$"):
+        logspread_hamiltonian(1, 1.0, qubit_count, seed=1)
 
 
 def test_logspread_rejects_decades_whose_smallest_weight_underflows():
