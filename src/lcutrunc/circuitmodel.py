@@ -28,17 +28,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .hamiltonian import SortedHamiltonian
 from .planner import TruncationVector, as_levels, checked_levels, order_weights, s_value, t_infinity
 from .densesim import (
     _check_qubits,
+    _Numpy,
     amplification_polynomial,
     operator_norm,
     pauli_string_matrix,
     truncated_series_operator,
 )
+
+np = _Numpy(globals())
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,13 @@ def _emit(output: str | Iterable[str], out: str | None) -> None:
     """Write ``output``, one string or its pieces in order, to ``out`` or stdout."""
     pieces = [output] if isinstance(output, str) else output
     if out is None:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # the reader left: send what is still buffered to devnull, so exit prints no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write stdout: {exc.strerror}") from None
     else:
         try:
             with open(out, "w") as file:

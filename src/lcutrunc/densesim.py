@@ -42,8 +42,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import CapExceeded
 from .hamiltonian import PauliString, SortedHamiltonian
 from .planner import (
@@ -54,6 +52,21 @@ from .planner import (
     s_value,
     t_infinity,
 )
+
+
+class _Numpy:
+    """A module's ``np`` until its first attribute read imports numpy and rebinds ``np`` to it."""
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy(globals())
 
 DEFAULT_QUBIT_CAP = 12
 QUBIT_CAP_ENV = "LCUTRUNC_QUBIT_CAP"

@@ -24,9 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import IO, Iterable
-
-import numpy as np
+from typing import IO, Iterable, Iterator
 
 from .errors import TermListError
 
@@ -252,6 +250,7 @@ def random_hamiltonian(
         raise ValueError("mu and sigma are both 0, so every drawn weight would be 0")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    import numpy as np  # here: of the commands that need no dense work, only gen-random loads numpy
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
     if (smallest := float(draws.min())) < DROP_THRESHOLD:
@@ -271,11 +270,14 @@ def logspread_hamiltonian(
     Weight ``l`` is ``10**(-decades * l / (num_terms - 1))``, so the weights
     run from 1 down to ``10**-decades``, which must not fall below
     ``DROP_THRESHOLD`` so that the term list parses back whole.  Operators are
-    random distinct Pauli strings on ``qubit_count`` qubits.
+    random distinct Pauli strings on ``qubit_count`` qubits, coded by the
+    draws of ``numpy.random.default_rng(seed).integers(4**qubit_count)``,
+    reproduced in pure Python: the same seed gives the same bytes under any
+    numpy, or none.
     """
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
-    if not 1 <= qubit_count <= 31:  # operators are drawn as int64 codes below 4**qubit_count
+    if not 1 <= qubit_count <= 31:  # numpy draws its codes below 4**qubit_count as int64
         raise ValueError(f"qubit_count must be from 1 to 31, got {qubit_count}")
     if not (math.isfinite(decades) and decades >= 0):
         raise ValueError(f"decades must be finite and nonnegative, got {decades}")
@@ -291,11 +293,11 @@ def logspread_hamiltonian(
         )
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    draws = _integer_draws(seed, 4**qubit_count)
     chosen: set[int] = set()
     codes: list[int] = []
     while len(codes) < num_terms:
-        code = int(rng.integers(4**qubit_count))
+        code = next(draws)
         if code not in chosen:
             chosen.add(code)
             codes.append(code)
@@ -308,3 +310,61 @@ def logspread_hamiltonian(
         terms.append(HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes)))
     return SortedHamiltonian.from_terms(terms, label=f"logspread-{num_terms}x{decades}")
 
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hasher(h: int, multiplier: int):
+    """One of ``SeedSequence``'s 32-bit hashes, whose constant ``h`` steps by ``multiplier`` on every call."""
+
+    def hash(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * multiplier & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+    return hash
+
+
+def _integer_draws(seed: int, high: int) -> Iterator[int]:
+    """``numpy.random.default_rng(seed).integers(high)`` drawn one call at a time, for ``2 <= high <= 2**63``.
+
+    ``SeedSequence`` hashes the seed's 32-bit words into a pool of four, and the pool into PCG64's
+    state and increment.  PCG64 outputs the XOR of its state's halves rotated by its top six bits.
+    A draw is Lemire's multiply-shift of a 32-bit half (low first) if ``high <= 2**32``, else of an output.
+    """
+    words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
+    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in [(word, dst) for word in words[4:] for dst in range(4)]:
+        pool[dst] = mix(pool[dst], hashmix(word))
+    hash_out = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hash_out(pool[i % 4]) for i in range(8)]
+    s0, s1, s2, s3 = (out[2 * j] | out[2 * j + 1] << 32 for j in range(4))
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    increment = ((s2 << 64 | s3) << 1 | 1) & _M128
+
+    def outputs(state: int) -> Iterator[int]:
+        while True:
+            state = (state * multiplier + increment) & _M128
+            x, rotation = (state >> 64 ^ state) & _M64, state >> 122
+            yield (x >> rotation | x << (64 - rotation)) & _M64
+
+    # from state 0 one step gives ``increment``; add the seed's state words and step once more
+    source = outputs(((increment + (s0 << 64 | s1)) * multiplier + increment) & _M128)
+    bits = 32 if high <= 1 << 32 else 64
+    source = (half for x in source for half in (x & _M32, x >> 32)) if bits == 32 else source
+    mask = (1 << bits) - 1
+    threshold = (mask + 1 - high) % high  # 0 at high == 2**bits: the raw output
+    for x in source:
+        m = x * high
+        while m & mask < threshold:
+            m = next(source) * high
+        yield m >> bits

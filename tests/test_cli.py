@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import lcutrunc
 from lcutrunc.cli import main
 from lcutrunc.hamiltonian import SortedHamiltonian, format_term_list, logspread_hamiltonian, parse_hamiltonian
 from lcutrunc.planner import greedy_plan
@@ -515,3 +519,61 @@ def test_parse_warnings_print_as_warning_lines_before_errors(tmp_path, capsys):
     assert main(["bound", "--hamiltonian", str(path), "--levels", "3"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(":")[0] for line in lines] == ["warning", "error"]
+
+
+def _fresh_interpreter_env() -> dict:
+    """The environment of a fresh interpreter that imports this ``lcutrunc``."""
+    src = str(Path(lcutrunc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_importing_the_cli_loads_every_layer_and_no_numpy_until_a_dense_call():
+    # the benchmark's tracer reads every layer from sys.modules right after this import
+    code = (
+        "import json, sys, lcutrunc, lcutrunc.cli; print(json.dumps(sorted(sys.modules)))\n"
+        "lcutrunc.verify_identities(lcutrunc.parse_hamiltonian('1.0 ZI\\n0.1 XX'), (1, 1))\n"
+        "from lcutrunc import circuitmodel, densesim; import numpy; print(densesim.np is circuitmodel.np is numpy)"
+    )
+    command = [sys.executable, "-c", code]
+    result = subprocess.run(command, env=_fresh_interpreter_env(), capture_output=True, text=True, check=True)
+    modules, rebound = result.stdout.splitlines()
+    assert "numpy" not in json.loads(modules)
+    layers = ("hamiltonian", "planner", "report", "densesim", "circuitmodel", "cli")
+    assert {f"lcutrunc.{layer}" for layer in layers} <= set(json.loads(modules))
+    # the first dense call binds the real module in place of the stand-in, which then costs nothing
+    assert rebound == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-logspread", "--terms", "200", "--decades", "6", "--qubits", "8", "--seed", "100", "--out", "{}.txt"],
+        ["plan", "--hamiltonian", "H.txt", "--target-epsilon", "1e-10", "--out", "{}.json"],
+        ["plan", "--hamiltonian", "H.txt", "--budget", "800", "--out", "{}.csv"],
+        ["bound", "--hamiltonian", "H.txt", "--budget", "800", "--out", "{}.json"],
+        ["resources", "--hamiltonian", "H.txt", "--budget", "800", "--out", "{}.json"],
+        ["compare", "--hamiltonian", "H.txt", "--n-max", "3", "--out", "{}.csv"],
+    ],
+    ids=["gen-logspread", "plan-json", "plan-csv", "bound", "resources", "compare"],
+)
+def test_planner_commands_write_the_same_bytes_where_numpy_cannot_load(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("H.txt").write_text(format_term_list(logspread_hamiltonian(200, 6.0, 8, seed=100)))
+    assert main([arg.format("in_process") for arg in argv]) == 0
+    code = "import sys; sys.modules['numpy'] = None; from lcutrunc.cli import main; sys.exit(main(sys.argv[1:]))"
+    command = [sys.executable, "-c", code, *(arg.format("fresh") for arg in argv)]
+    result = subprocess.run(command, env=_fresh_interpreter_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    suffix = Path(argv[-1]).suffix
+    assert Path(f"fresh{suffix}").read_bytes() == Path(f"in_process{suffix}").read_bytes()
+
+
+def test_a_closed_stdout_pipe_exits_2_with_one_error_line(tmp_path):
+    path, _ = _plan_large_small(tmp_path)
+    command = [sys.executable, "-m", "lcutrunc.cli", "plan", "--hamiltonian", path, "--target-epsilon", "1e-10"]
+    # the plan's 223 KB outgrow the pipe's buffer, so the plan is still writing when the reader leaves
+    with subprocess.Popen(command, env=_fresh_interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (2, b"error: cannot write stdout: Broken pipe\n")

@@ -1,6 +1,7 @@
 """Parsing, normalization, sorting, and generation of term-list Hamiltonians."""
 
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lcutrunc.hamiltonian import (
     HamiltonianTerm,
     PauliString,
     SortedHamiltonian,
+    _integer_draws,
     format_term_list,
     logspread_hamiltonian,
     parse_hamiltonian,
@@ -21,7 +23,7 @@ from lcutrunc.hamiltonian import (
 )
 from lcutrunc.planner import greedy_plan
 
-from util import matrix_from_raw, random_pauli_hamiltonian
+from util import logspread_numpy_reference, matrix_from_raw, random_pauli_hamiltonian
 
 
 def test_single_term():
@@ -351,6 +353,20 @@ def test_logspread_writes_only_weights_that_parse_back():
     for decades in (15.5, 20.0, 323.0):
         with pytest.raises(ValueError, match=f"decades {decades} is too large"):
             logspread_hamiltonian(4, decades, 2, seed=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+def test_integer_draws_are_numpys_default_rng_stream(seed):
+    # below 16 qubits Lemire's method on 32-bit halves, at 16 the raw halves, above it 64-bit outputs
+    for qubit_count in range(1, 32):
+        rng = np.random.default_rng(seed)
+        expected = [int(rng.integers(4**qubit_count)) for _ in range(200)]
+        assert list(islice(_integer_draws(seed, 4**qubit_count), 200)) == expected, qubit_count
+
+
+@pytest.mark.parametrize("args", [(1000, 6.0, 16, 100), (48, 3.0, 7, 1), (16, 2.0, 3, 9100), (5, 1.0, 31, 2**40)])
+def test_logspread_writes_the_bytes_of_numpys_generator(args):
+    assert format_term_list(logspread_hamiltonian(*args)) == format_term_list(logspread_numpy_reference(*args))
 
 
 def test_non_finite_weight_rejected_at_type_level():

@@ -283,3 +283,11 @@ def insertion_gain_oracle(hamiltonian: SortedHamiltonian, levels, k: int, t: flo
     for weight in weights[k:]:
         total += weight
     return alphas[counts[k - 1]] * total
+
+
+def logspread_numpy_reference(num_terms: int, decades: float, qubit_count: int, seed: int) -> SortedHamiltonian:
+    """``logspread_hamiltonian`` with its codes drawn by numpy's own ``default_rng(seed).integers``, one at a time."""
+    alphas = [1.0] if num_terms == 1 else [10.0 ** (-decades * l / (num_terms - 1)) for l in range(num_terms)]
+    axes_list = random_axes(np.random.default_rng(seed), qubit_count, num_terms)
+    terms = [HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes)) for alpha, axes in zip(alphas, axes_list)]
+    return SortedHamiltonian.from_terms(terms, label=f"logspread-{num_terms}x{decades}")
