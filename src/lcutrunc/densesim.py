@@ -25,7 +25,9 @@ measured errors of such a vector are read off the eigenvalues of H alone:
 formed from the Taylor remainder without cancellation, so they are exact to
 double precision, given the eigenvalues, down to the smallest errors.
 Every other vector is measured through the dense series, the amplification
-product and an SVD, whose absolute error is about 1e-15.
+product and an SVD: ``U`` is ``exact_evolution``'s, and ``U^r`` and ``A^r``
+are repeated products of ``U`` and ``A``, so the errors have an absolute
+error of about 1e-15.
 
 This module holds the one dense-size policy of the package: every dense
 construction, here and in ``circuitmodel``, raises ``CapExceeded`` before it
@@ -154,11 +156,6 @@ def _check_hermitian(hamiltonian: SortedHamiltonian) -> None:
         raise ValueError("Hamiltonian matrix is not Hermitian; cannot exponentiate by eigendecomposition")
 
 
-def _unitary(eigenvectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """V diag(phases) V^dag."""
-    return (eigenvectors * phases) @ eigenvectors.conj().T
-
-
 def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndarray | None = None) -> np.ndarray:
     """exp(-i H t) by Hermitian eigendecomposition; raises if H is not Hermitian.
 
@@ -168,7 +165,7 @@ def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndar
         _check_hermitian(hamiltonian)
         matrix = hamiltonian_matrix(hamiltonian)
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    return _unitary(eigenvectors, np.exp(-1j * t * eigenvalues))
+    return (eigenvectors * np.exp(-1j * t * eigenvalues)) @ eigenvectors.conj().T
 
 
 def _live(vec: TruncationVector) -> tuple[int, ...]:
@@ -273,8 +270,8 @@ class _StepErrors:
 
     ``U = exp(-iH t_inf)`` and ``A`` is the amplified step.  The spectral
     work is done at most once and shared by every vector measured: the
-    eigenvalues for full-order vectors, ``exact_evolution`` for single
-    steps of other vectors, both from one dense H built on first use.
+    eigenvalues for full-order vectors, ``exact_evolution`` for the others,
+    both from one dense H built on first use.
     """
 
     def __init__(self, hamiltonian: SortedHamiltonian):
@@ -291,26 +288,20 @@ class _StepErrors:
         return self._matrix
 
     def measure(self, levels: "TruncationVector | Sequence[int]", r_max: int = 1) -> list[float]:
-        """``[||U^r - A^r|| for r = 1..r_max]``."""
+        """``[||U^r - A^r|| for r = 1..r_max]``; off full order, ``U^r`` and ``A^r`` are repeated products."""
         vec = checked_levels(self.hamiltonian, levels)
         live = _live(vec)
         if all(count == self.hamiltonian.num_terms for count in live):
             return self._full_order(len(live), epsilon_bound(self.hamiltonian, vec), r_max)
+        if self._exact is None:
+            self._exact = exact_evolution(self.hamiltonian, self.t, matrix=self._hamiltonian_matrix())
         amplified = amplified_operator(self.hamiltonian, vec, self.t)
-        if r_max == 1:
-            if self._exact is None:
-                self._exact = exact_evolution(self.hamiltonian, self.t, matrix=self._hamiltonian_matrix())
-            return [operator_norm(self._exact - amplified)]
-        # U^r from the r-th powers of the eigenphases, A^r by repeated multiplication
-        eigenvalues, eigenvectors = np.linalg.eigh(self._hamiltonian_matrix())
-        step_phases = np.exp(-1j * self.t * eigenvalues)
-        phases, amplified_power = step_phases, amplified
-        errors = []
-        for r in range(1, r_max + 1):
-            if r > 1:
-                phases = phases * step_phases
-                amplified_power = amplified_power @ amplified
-            errors.append(operator_norm(_unitary(eigenvectors, phases) - amplified_power))
+        exact_power, amplified_power = self._exact, amplified
+        errors = [operator_norm(exact_power - amplified_power)]
+        for _ in range(1, r_max):
+            exact_power = exact_power @ self._exact
+            amplified_power = amplified_power @ amplified
+            errors.append(operator_norm(exact_power - amplified_power))
         return errors
 
     def _full_order(self, order: int, epsilon: float, r_max: int) -> list[float]:
@@ -372,8 +363,8 @@ def multi_step_error(
     """Measured ||U^r - amplified^r|| for r = 1..r_max.
 
     Full-order vectors are measured from the eigenvalues of H; other vectors
-    take ``U^r`` from the r-th powers of the eigenphases of one
-    eigendecomposition and ``amplified^r`` from repeated multiplication.
+    take ``U^r`` and ``amplified^r`` as repeated products of
+    :func:`exact_evolution` and the amplified step.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")

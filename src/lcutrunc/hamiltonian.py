@@ -30,8 +30,9 @@ from .errors import TermListError
 
 PHASE_UNITS = (1 + 0j, -1 + 0j, 1j, -1j)
 
-# Coefficients below this magnitude cannot affect bounds at double precision
-# and are dropped at parse time.
+# Coefficients below this fraction of an input's largest magnitude cannot
+# affect bounds at double precision and are dropped at parse time.  Bounds and
+# plans do not change under H -> cH, so neither does what is dropped.
 DROP_THRESHOLD = 1e-15
 
 _PHASE_PREFIX = {1 + 0j: "", -1 + 0j: "-", 1j: "", -1j: "-"}
@@ -101,21 +102,25 @@ class SortedHamiltonian:
         """Merge repeated strings, sort terms by descending weight (stable) and build prefix sums.
 
         Repeats are merged in order of first appearance by summing their coefficients, with
-        one warning; sums below ``DROP_THRESHOLD`` are dropped with a warning.  Raises
-        :class:`TermListError` naming the string for a sum neither real nor pure-imaginary,
-        and for weights whose sum overflows.
+        one warning; sums that are 0 or below ``DROP_THRESHOLD`` times the largest input
+        weight are dropped with a warning.  Raises :class:`TermListError` naming the string
+        for a sum neither real nor pure-imaginary, and for weights whose sum overflows.
         """
         merged: dict[str, HamiltonianTerm] = {}
         sums: dict[str, complex] = {}  # coefficient sums of the repeated strings only
+        largest = 0.0  # of the repeats; the first appearances are read only if a repeat exists
         for term in terms:
             axes = term.op.axes
             if axes in merged:
                 sums[axes] = sums.get(axes, merged[axes].coefficient) + term.coefficient
+                largest = max(largest, term.alpha)
             else:
                 merged[axes] = term
+        if sums:
+            threshold = _drop_threshold(max(largest, max(term.alpha for term in merged.values())))
         dropped = 0
         for axes, coefficient in sums.items():
-            if abs(coefficient) < DROP_THRESHOLD:
+            if not coefficient or abs(coefficient) < threshold:
                 dropped += 1
                 del merged[axes]
                 continue
@@ -127,7 +132,7 @@ class SortedHamiltonian:
         if sums:
             warnings.warn(f"merged repeated lines of {len(sums)} Pauli string(s) by summing their coefficients")
         if dropped:
-            warnings.warn(f"dropped {dropped} term(s) with |coefficient| < {DROP_THRESHOLD}")
+            warnings.warn(f"dropped {dropped} term(s) with |coefficient| < {threshold}")
 
         ordered = sorted(merged.values(), key=lambda term: -term.alpha)
         if not ordered:
@@ -159,6 +164,11 @@ class SortedHamiltonian:
         return self.prefix[m]
 
 
+def _drop_threshold(largest: float) -> float:
+    """The magnitude below which a coefficient is dropped, for an input whose largest magnitude is ``largest``."""
+    return DROP_THRESHOLD * (largest or 1.0)
+
+
 def _parse_coefficient(token: str) -> complex:
     try:
         value = complex(token.replace("i", "j"))
@@ -186,9 +196,10 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
     """Parse the term-list format into a :class:`SortedHamiltonian`.
 
     Coefficients are normalized to positive magnitudes with the unit phase
-    folded into the Pauli string.  Lines with magnitude below
-    ``DROP_THRESHOLD`` are dropped with a warning; repeated strings are
-    merged by :meth:`SortedHamiltonian.from_terms`.  Raises
+    folded into the Pauli string.  Lines whose coefficient is 0 or below
+    ``DROP_THRESHOLD`` times the largest magnitude of the input are dropped
+    with a warning; repeated strings are merged by
+    :meth:`SortedHamiltonian.from_terms`.  Raises
     :class:`TermListError` with a line number on malformed input, or as
     ``from_terms`` does.
     """
@@ -197,8 +208,7 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
     else:
         lines = source.read().splitlines()
 
-    terms: list[HamiltonianTerm] = []
-    dropped = 0
+    rows: list[tuple[int, complex, str]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,19 +218,27 @@ def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltoni
             raise TermListError(
                 f"line {lineno}: expected '<coefficient> <pauli-string>', got {raw!r}"
             )
-        coeff_token, axes = fields
         try:
-            coefficient = _parse_coefficient(coeff_token)
-            if abs(coefficient) < DROP_THRESHOLD:
-                dropped += 1
-                continue
+            rows.append((lineno, _parse_coefficient(fields[0]), fields[1]))
+        except ValueError as exc:
+            raise TermListError(f"line {lineno}: {exc}") from None
+
+    # the threshold scales with the input, so it is known only after every line is read
+    threshold = _drop_threshold(max((abs(coefficient) for _, coefficient, _ in rows), default=0.0))
+    terms: list[HamiltonianTerm] = []
+    dropped = 0
+    for lineno, coefficient, axes in rows:
+        if not coefficient or abs(coefficient) < threshold:
+            dropped += 1
+            continue
+        try:
             alpha, phase = _fold_phase(coefficient)
             terms.append(HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase)))
         except ValueError as exc:
             raise TermListError(f"line {lineno}: {exc}") from None
 
     if dropped:
-        warnings.warn(f"dropped {dropped} line(s) with |coefficient| < {DROP_THRESHOLD}")
+        warnings.warn(f"dropped {dropped} line(s) with |coefficient| < {threshold}")
     return SortedHamiltonian.from_terms(terms, label=label)
 
 
@@ -240,7 +258,9 @@ def random_hamiltonian(
     """Replace each weight with |draw from Normal(mu, sigma)|, keeping operators.
 
     The Pauli strings (including their phases) are taken from ``template``;
-    the result is re-sorted.  Deterministic for a fixed seed.
+    the result is re-sorted.  Deterministic for a fixed seed.  Raises if a
+    draw is 0 or below ``DROP_THRESHOLD`` times the largest draw, since
+    parsing the written term list would drop it.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -253,10 +273,11 @@ def random_hamiltonian(
     import numpy as np  # here: of the commands that need no dense work, only gen-random loads numpy
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
-    if (smallest := float(draws.min())) < DROP_THRESHOLD:
+    smallest, largest = float(draws.min()), float(draws.max())
+    if not smallest or smallest < _drop_threshold(largest):
         raise ValueError(
-            f"mu {mu} and sigma {sigma} drew the weight {smallest!r}, "
-            f"which would be dropped on parsing, below {DROP_THRESHOLD}"
+            f"mu {mu} and sigma {sigma} drew the weight {smallest!r}, which would be dropped "
+            f"on parsing, below {DROP_THRESHOLD} of the largest draw {largest!r}"
         )
     terms = [HamiltonianTerm(alpha=a, op=term.op) for a, term in zip(draws, template.terms)]
     return SortedHamiltonian.from_terms(terms, label=f"{template.label}+random" if template.label else "random")
@@ -269,11 +290,12 @@ def logspread_hamiltonian(
 
     Weight ``l`` is ``10**(-decades * l / (num_terms - 1))``, so the weights
     run from 1 down to ``10**-decades``, which must not fall below
-    ``DROP_THRESHOLD`` so that the term list parses back whole.  Operators are
-    random distinct Pauli strings on ``qubit_count`` qubits, coded by the
-    draws of ``numpy.random.default_rng(seed).integers(4**qubit_count)``,
-    reproduced in pure Python: the same seed gives the same bytes under any
-    numpy, or none.
+    ``DROP_THRESHOLD`` of the largest, 1, so that the term list parses back
+    whole.  Operators are random distinct Pauli strings on ``qubit_count``
+    qubits, coded by the draws of
+    ``numpy.random.default_rng(seed).integers(4**qubit_count)``, reproduced
+    in pure Python: the same seed gives the same bytes under any numpy, or
+    none.
     """
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")

@@ -76,12 +76,6 @@ class TruncationVector:
             values.pop()
         return cls(levels=tuple(values))
 
-    @classmethod
-    def full_order(cls, order: int, num_terms: int) -> "TruncationVector":
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        return cls(levels=(num_terms,) * order)
-
     @property
     def kappa(self) -> int:
         """Number of orders with at least one retained term."""
@@ -123,13 +117,11 @@ def as_levels(levels: "TruncationVector | Sequence[int]") -> TruncationVector:
     return TruncationVector.from_levels(levels)
 
 
-def cost_of(levels: "TruncationVector | Sequence[int]") -> int:
-    return as_levels(levels).cost
-
-
 def full_order_levels(hamiltonian: SortedHamiltonian, order: int) -> TruncationVector:
     """All terms retained in every order up to ``order``."""
-    return TruncationVector.full_order(order, hamiltonian.num_terms)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return TruncationVector(levels=(hamiltonian.num_terms,) * order)
 
 
 def t_infinity(hamiltonian: SortedHamiltonian) -> float:
@@ -340,20 +332,6 @@ class PlanTrace:
     t: float
     steps: tuple[PlanStep, ...]
     final: TruncationVector
-
-    def epsilon_at_cost(self, cost: int) -> float:
-        if not 0 <= cost <= len(self.steps):
-            raise ValueError(f"cost {cost} outside recorded range 0..{len(self.steps)}")
-        return 1.0 if cost == 0 else self.steps[cost - 1].epsilon_after
-
-    def levels_at_cost(self, cost: int) -> TruncationVector:
-        """Replay the first ``cost`` insertions from the empty vector."""
-        if not 0 <= cost <= len(self.steps):
-            raise ValueError(f"cost {cost} outside recorded range 0..{len(self.steps)}")
-        vec = TruncationVector(levels=())
-        for step in self.steps[:cost]:
-            vec = vec.bump(step.chosen_k)
-        return vec
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(payload, indent=2) + "\\n"`` for the payload of ``hamiltonian``,

@@ -134,8 +134,3 @@ def serialize_report(rows: list[ComparisonRow], fmt: str) -> bytes:
     if fmt == "json":
         return rows_to_json(rows).encode()
     raise ValueError(f"unsupported format {fmt!r}; use 'csv' or 'json'")
-
-
-def parse_report_json(text: str) -> list[ComparisonRow]:
-    """Inverse of the JSON serialization; used for round-trip checks."""
-    return [ComparisonRow(**entry) for entry in json.loads(text)]

@@ -40,7 +40,7 @@ from lcutrunc.planner import (
 )
 from lcutrunc.report import generate_comparison_report
 
-from util import random_contiguous_levels, random_pauli_hamiltonian
+from util import levels_at_cost, random_contiguous_levels, random_pauli_hamiltonian
 
 LN2 = math.log(2.0)
 
@@ -123,7 +123,7 @@ def measured_errors():
         for cost in sorted({1, 2, plan.final.cost // 2, plan.final.cost}):
             if cost < 1:
                 continue
-            levels = plan.levels_at_cost(cost)
+            levels = levels_at_cost(plan, cost)
             epsilon = epsilon_bound(ham, levels)
             if epsilon > 0.5:
                 continue

@@ -97,13 +97,14 @@ def test_simulate_multi_step_csv(ham_file, tmp_path):
 
 def test_simulate_output_off_full_order_is_pinned_to_exact_bytes(ham_file, tmp_path):
     # (2, 1) is not a full order, so it takes the series, amplification and SVD
-    # path, whose bytes must not move when the full-order path changes
+    # path, whose bytes must not move when the full-order path changes; at r = 2
+    # and r = 3 step_error_oracle gives 0.078244031866028969 and 0.11173979570958065
     expected = (
         '{\n  "levels": [\n    2,\n    1\n  ],\n  "cost": 3,\n'
         '  "epsilon": 0.0884650858408722,\n  "delta": 0.040911143987554965,\n  "r_steps": [\n'
         '    {\n      "r": 1,\n      "error": 0.040911143987554965\n    },\n'
-        '    {\n      "r": 2,\n      "error": 0.07824403186602903\n    },\n'
-        '    {\n      "r": 3,\n      "error": 0.11173979570958076\n    }\n  ]\n}\n'
+        '    {\n      "r": 2,\n      "error": 0.07824403186602885\n    },\n'
+        '    {\n      "r": 3,\n      "error": 0.11173979570958048\n    }\n  ]\n}\n'
     )
     out = tmp_path / "sim.json"
     argv = ["simulate", "--hamiltonian", str(ham_file), "--levels", "2,1", "--r-max", "3", "--out", str(out)]
@@ -228,13 +229,36 @@ def test_gen_random_rejects_zero_mu_and_sigma(ham_file, tmp_path, capsys):
 
 
 def test_gen_random_rejects_weights_that_parsing_would_drop(tmp_path, capsys):
+    # the drop threshold is relative to the largest weight: 15 weights of 1e-16 parse back whole
     out = tmp_path / "random.txt"
-    argv = ["gen-random", "--template", str(DATA_DIR / "h2_sto3g.txt"), "--mu", "1e-16", "--sigma", "0",
-            "--seed", "1", "--out", str(out)]
+    template = str(DATA_DIR / "h2_sto3g.txt")
+    argv = ["gen-random", "--template", template, "--mu", "1e-16", "--sigma", "0", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert parse_hamiltonian(out.read_text()).num_terms == 15
+    # a subnormal sigma draws exact zeros beside 5e-324
+    out = tmp_path / "zeros.txt"
+    argv = ["gen-random", "--template", template, "--mu", "0", "--sigma", "5e-324", "--seed", "1", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "mu 1e-16 and sigma 0.0" in err and "dropped on parsing" in err
+    assert "mu 0.0 and sigma 5e-324 drew the weight 0.0" in err and "dropped on parsing" in err
     assert not out.exists()
+
+
+def test_a_hamiltonian_in_joules_plans_as_its_scaled_copy(tmp_path, capsys):
+    # bounds and plans do not change under H -> cH, so neither may the drop threshold
+    joules, scaled = tmp_path / "joules.txt", tmp_path / "scaled.txt"
+    joules.write_text("4.4e-18 ZZ\n1.1e-18 XX\n3e-19 YY\n")
+    scaled.write_text("4.4 ZZ\n1.1 XX\n0.3 YY\n")
+    plans = []
+    for path in (joules, scaled):
+        assert main(["plan", "--hamiltonian", str(path), "--budget", "6"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        plans.append(json.loads(captured.out))
+    assert plans[0]["final_levels"] == plans[1]["final_levels"]
+    for step, scaled_step in zip(plans[0]["steps"], plans[1]["steps"]):
+        assert step["k"] == scaled_step["k"]
+        assert step["epsilon"] == pytest.approx(scaled_step["epsilon"], rel=1e-14, abs=0)
 
 
 def test_gen_random_rejects_a_negative_seed_naming_it(ham_file, tmp_path, capsys):

@@ -24,11 +24,20 @@ from lcutrunc.hamiltonian import (
     HamiltonianTerm,
     PauliString,
     SortedHamiltonian,
+    logspread_hamiltonian,
     parse_hamiltonian,
 )
 from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan, s_value, t_infinity
 
-from util import full_order_error_oracle, kron_chain, matrix_from_raw, random_axes, random_pauli_hamiltonian
+from util import (
+    full_order_error_oracle,
+    kron_chain,
+    levels_at_cost,
+    matrix_from_raw,
+    random_axes,
+    random_pauli_hamiltonian,
+    step_error_oracle,
+)
 
 LN2 = math.log(2.0)
 
@@ -310,6 +319,19 @@ def test_multi_step_two_term_within_linear_growth_bound(two_term):
         assert err <= r * report.delta * (1 + 10 * report.delta)
 
 
+@pytest.mark.parametrize(
+    "text, levels",
+    [("1.0 ZI\n0.1 XX", (2, 1)), (None, (6, 3, 1))],
+    ids=["two-term", "logspread-10x3-seed7"],
+)
+def test_repeated_step_errors_are_within_1e_15_of_a_50_digit_oracle(text, levels):
+    # rounding in U^r and A^r grows with r; r = 8 is where 1e-15 absolute can show
+    ham = parse_hamiltonian(text) if text else logspread_hamiltonian(10, 3.0, 3, 7)
+    measured = [error for _, error in multi_step_error(ham, levels, 8).r_steps]
+    oracle = step_error_oracle(ham, levels, 8)
+    assert [float(abs(error - exact)) <= 1e-15 for error, exact in zip(measured, oracle)] == [True] * 8
+
+
 def test_multi_step_validation(two_term):
     with pytest.raises(ValueError):
         multi_step_error(two_term, (1,), 0)
@@ -336,7 +358,7 @@ def test_amplified_error_bound_on_greedy_prefixes():
         ham = random_pauli_hamiltonian(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
         plan = greedy_plan(ham, budget=10)
         for cost in (1, 4, 10):
-            levels = plan.levels_at_cost(cost)
+            levels = levels_at_cost(plan, cost)
             eps = epsilon_bound(ham, levels)
             if eps > 0.5:
                 continue

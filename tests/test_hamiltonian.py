@@ -101,8 +101,8 @@ def test_non_finite_coefficients_rejected():
 
 
 def test_weights_whose_sum_overflows_are_rejected():
-    # each weight is finite, but Lambda is not
-    with pytest.raises(TermListError, match="weights sum to inf"):
+    # each weight is finite, but Lambda is not; 1.0 is below 1e-15 of 1e308 and is dropped
+    with pytest.raises(TermListError, match="weights sum to inf"), pytest.warns(UserWarning, match="dropped 1 line"):
         parse_hamiltonian("1.0 ZZ\n1e308 XX\n1e308 YY")
     big = PauliString(axes="X")
     with pytest.raises(TermListError, match="weights sum to inf"):
@@ -267,7 +267,9 @@ def test_parse_format_round_trip_with_signs_phases_and_repeats(lines):
     expected: dict[str, complex] = {}
     for token, axes in lines:
         expected[axes] = expected.get(axes, 0) + complex(token.replace("i", "j"))
-    expected = {axes: c for axes, c in expected.items() if abs(c) >= 1e-15}
+    # a sum is dropped below 1e-15 of the largest magnitude of the input
+    largest = max(abs(complex(token.replace("i", "j"))) for token, _ in lines)
+    expected = {axes: c for axes, c in expected.items() if abs(c) >= 1e-15 * largest}
     text = "\n".join(f"{token} {axes}" for token, axes in lines)
 
     with warnings.catch_warnings():

@@ -24,7 +24,6 @@ from lcutrunc.hamiltonian import (
 )
 from lcutrunc.planner import (
     TruncationVector,
-    cost_of,
     epsilon_bound,
     full_order_levels,
     greedy_plan,
@@ -36,7 +35,9 @@ from lcutrunc.planner import (
 
 from util import (
     insertion_gain_oracle,
+    levels_at_cost,
     omitted_mass_oracle,
+    optimal_bound_oracle,
     plan_json_oracle,
     random_contiguous_levels,
     random_pauli_hamiltonian,
@@ -94,10 +95,10 @@ def test_bump_rejects_order_below_one(k):
     assert TruncationVector((2, 1)).bump(3).levels == (2, 1, 1)
 
 
-def test_cost_of():
-    assert cost_of((3, 2, 1)) == 6
-    assert cost_of(()) == 0
-    assert cost_of(full_order_levels(uniform_hamiltonian(5), 3)) == 15
+def test_cost_is_the_total_of_the_levels():
+    assert TruncationVector.from_levels((3, 2, 1)).cost == 6
+    assert TruncationVector.from_levels(()).cost == 0
+    assert full_order_levels(uniform_hamiltonian(5), 3).cost == 15
 
 
 def test_full_order_levels():
@@ -335,9 +336,9 @@ def test_greedy_records_epsilon_bound_of_each_prefix_and_never_a_negative_bound(
     # subtracting each gain from 1.0 made 599 of these bounds negative
     ham = parse_hamiltonian("1.805068619253194e-05 XX\n1.803315903513268 YX\n1.0 ZX\n1.0 IX")
     trace = greedy_plan(ham, budget=658)
-    vec = trace.levels_at_cost(0)
+    vec = TruncationVector(levels=())
     for step in trace.steps:
-        vec = vec.bump(step.chosen_k)  # trace.levels_at_cost(step.cost_after), replayed once
+        vec = vec.bump(step.chosen_k)  # levels_at_cost(trace, step.cost_after), replayed once
         assert step.epsilon_after >= 0.0
         assert step.epsilon_after == epsilon_bound(ham, vec)
 
@@ -455,7 +456,7 @@ def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     trace = greedy_plan(ham, budget=150)
     worst = 0.0
     for cost in range(len(trace.steps)):
-        vec = trace.levels_at_cost(cost)
+        vec = levels_at_cost(trace, cost)
         weights = planner.order_weights(ham, vec, t)
         buffer = [math.nan] * (len(weights) + 1)
         tables = planner._order_tables(t, len(weights))
@@ -495,13 +496,10 @@ def test_greedy_confirms_about_one_gain_per_step(monkeypatch):
 
 def test_trace_replay_and_prefix_queries(two_term):
     trace = greedy_plan(two_term, budget=3)
-    assert trace.levels_at_cost(0).levels == ()
-    assert trace.levels_at_cost(2).levels == (1, 1)
-    assert trace.levels_at_cost(3) == trace.final
-    assert trace.epsilon_at_cost(0) == 1.0
-    assert trace.epsilon_at_cost(2) == trace.steps[1].epsilon_after
-    with pytest.raises(ValueError):
-        trace.epsilon_at_cost(4)
+    assert levels_at_cost(trace, 0).levels == ()
+    assert levels_at_cost(trace, 2).levels == (1, 1)
+    assert levels_at_cost(trace, 3) == trace.final
+    assert trace.steps[1].epsilon_after == epsilon_bound(two_term, levels_at_cost(trace, 2))
 
 
 def test_trace_serialization_round_trip(two_term):
@@ -653,7 +651,7 @@ def test_greedy_bound_is_at_most_the_full_order_bound_at_equal_cost(case):
     ham = parse_hamiltonian(case[0])
     plan = greedy_plan(ham, budget=3 * ham.num_terms)
     for n in (1, 2, 3):
-        assert plan.epsilon_at_cost(n * ham.num_terms) <= epsilon_bound(ham, full_order_levels(ham, n))
+        assert plan.steps[n * ham.num_terms - 1].epsilon_after <= epsilon_bound(ham, full_order_levels(ham, n))
 
 
 def test_full_order_epsilon_matches_partial_exponential_series():
@@ -702,9 +700,9 @@ def test_greedy_matches_exhaustive_minimum_on_small_instances():
 
 
 @st.composite
-def _small_weight_sets(draw):
-    """2 to 5 weights: log-uniform over up to 8 decades, uniform on (0, 1], or two scales."""
-    count = draw(st.integers(2, 5))
+def _small_weight_sets(draw, max_count=5):
+    """2 to ``max_count`` weights: log-uniform over up to 8 decades, uniform on (0, 1], or two scales."""
+    count = draw(st.integers(2, max_count))
     kind = draw(st.sampled_from(("log-uniform", "uniform", "two-scale")))
     if kind == "log-uniform":
         decades = draw(st.floats(0.0, 8.0))
@@ -731,7 +729,34 @@ def test_greedy_minimises_the_bound_at_every_cost(weights):
     plan = greedy_plan(ham, budget=top)
     for cost in range(1, top + 1):
         best = min(epsilon_bound(ham, vec) for vec in enumerate_vectors(cost, ham.num_terms))
-        assert plan.epsilon_at_cost(cost) <= best * (1 + 1e-12)
+        assert plan.steps[cost - 1].epsilon_after <= best * (1 + 1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_small_weight_sets(max_count=8))
+def test_the_exact_optimum_is_at_most_greedy_and_is_the_bound_of_its_own_vector(weights):
+    ham = parse_hamiltonian("".join(f"{w!r} {'IXYZ'[i % 4]}{'XZ'[i // 4]}\n" for i, w in enumerate(weights)))
+    top = 3 * ham.num_terms
+    optimum = optimal_bound_oracle(weights, top)
+    plan = greedy_plan(ham, budget=top)
+    for cost in range(1, top + 1):
+        epsilon, levels = optimum[cost]
+        assert epsilon <= plan.steps[cost - 1].epsilon_after * (1 + 1e-12)
+        assert epsilon_bound(ham, levels) == pytest.approx(epsilon, rel=1e-13, abs=0)
+        if cost <= 12:
+            brute_force = min(epsilon_bound(ham, vec) for vec in enumerate_vectors(cost, ham.num_terms))
+            assert epsilon == pytest.approx(brute_force, rel=1e-13, abs=0)
+
+
+def test_the_exact_optimum_beats_greedy_on_the_pinned_counterexample():
+    weights = [0.01, 0.01, 10.0**-1.4375, 10.0**-0.6875]
+    optimum = optimal_bound_oracle(weights, 6)
+    assert optimum[5] == (0.11772678164699232, (2, 2, 1))
+    assert optimum[6][1] == (3, 2, 1)
+    ham = parse_hamiltonian("".join(f"{w!r} {'IXYZ'[i]}Z\n" for i, w in enumerate(weights)))
+    plan = greedy_plan(ham, budget=6)
+    assert [levels_at_cost(plan, cost).levels for cost in (5, 6)] == [(4, 1), (4, 1, 1)]
+    assert plan.steps[4].epsilon_after > optimum[5][0] and plan.steps[5].epsilon_after > optimum[6][0]
 
 
 def test_step_size_choice_is_first_order_equivalent():

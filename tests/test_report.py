@@ -11,11 +11,13 @@ from lcutrunc.densesim import single_step_error
 from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian, logspread_hamiltonian
 from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan
 from lcutrunc.report import (
+    ComparisonRow,
     generate_comparison_report,
-    parse_report_json,
     rows_to_csv,
     serialize_report,
 )
+
+from util import levels_at_cost
 
 LN2 = math.log(2.0)
 
@@ -54,8 +56,8 @@ def test_rows_consistent_with_plan_trace(two_term):
     rows = generate_comparison_report(two_term, 3)
     plan = greedy_plan(two_term, budget=3 * two_term.num_terms)
     for row in rows:
-        assert row.eps_greedy == epsilon_bound(two_term, plan.levels_at_cost(row.cost))
-        assert row.eps_greedy == pytest.approx(plan.epsilon_at_cost(row.cost), abs=1e-12)
+        assert row.eps_greedy == epsilon_bound(two_term, levels_at_cost(plan, row.cost))
+        assert row.eps_greedy == pytest.approx(plan.steps[row.cost - 1].epsilon_after, abs=1e-12)
 
 
 def test_dense_columns_only_when_requested(two_term):
@@ -76,7 +78,7 @@ def test_dense_deltas_equal_single_step_errors():
     plan = greedy_plan(ham, budget=2 * ham.num_terms)
     for row in rows:
         assert row.delta_full == single_step_error(ham, full_order_levels(ham, row.n)).delta
-        assert row.delta_greedy == single_step_error(ham, plan.levels_at_cost(row.cost)).delta
+        assert row.delta_greedy == single_step_error(ham, levels_at_cost(plan, row.cost)).delta
 
 
 def test_uniform_dense_rows_equal_standalone_measurements():
@@ -137,7 +139,7 @@ def test_csv_single_row_field_order(two_term):
 def test_json_round_trip(two_term):
     rows = generate_comparison_report(two_term, 3, with_dense=True)
     text = serialize_report(rows, "json").decode()
-    parsed = parse_report_json(text)
+    parsed = [ComparisonRow(**entry) for entry in json.loads(text)]
     assert len(parsed) == len(rows)
     for a, b in zip(parsed, rows):
         assert a.n == b.n and a.cost == b.cost

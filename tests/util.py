@@ -5,6 +5,7 @@ dense constructions so they can serve as oracles.
 """
 
 import json
+import math
 from decimal import Decimal, Inexact, localcontext
 from functools import reduce
 from itertools import product
@@ -13,6 +14,7 @@ import mpmath
 import numpy as np
 
 from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian
+from lcutrunc.planner import TruncationVector
 
 PAULI_2X2 = {
     "I": np.eye(2, dtype=complex),
@@ -244,6 +246,113 @@ def full_order_error_oracle(text: str, order: int, r_max: int) -> list:
             for r in range(1, r_max + 1):
                 errors[r - 1] = max(errors[r - 1], abs(exact**r - amplified**r))
         return errors
+
+
+def step_error_oracle(hamiltonian: SortedHamiltonian, levels, r_max: int) -> list:
+    """``||U^r - A^r||`` for r = 1..r_max of any truncation vector, to 50 digits.
+
+    mpmath only, on the term matrices of ``kron_chain``, whose entries are
+    exact, weighted by the exact values of the doubles.  At
+    ``t = ln 2 / Lambda``, ``U = expm(-iHt)``; the series is
+    ``S = sum_k (-it)^k / k! H_1 H_2 ... H_k`` up to the first empty order,
+    with ``H_j`` the sum of the ``L_j`` largest terms; ``s`` is that series
+    with each ``-iH_j`` replaced by its weight sum ``Lambda_j``; and
+    ``A = (3/s) S - (4/s^3) S S^dag S``.  ``U^r`` and ``A^r`` are repeated
+    products, and the norm of ``D = U^r - A^r`` is the square root of the
+    top eigenvalue of ``D^dag D``.
+    """
+    with mpmath.workdps(50):
+        dim = 2**hamiltonian.qubit_count
+        weights = [mpmath.mpf(term.alpha) for term in hamiltonian.terms]
+        matrices = [
+            mpmath.mpc(term.coefficient) * mpmath.matrix(kron_chain(term.op.axes).tolist())
+            for term in hamiltonian.terms
+        ]
+
+        def prefix(count):
+            total = mpmath.zeros(dim, dim)
+            for matrix in matrices[:count]:
+                total += matrix
+            return total
+
+        t = mpmath.log(2) / mpmath.fsum(weights)
+        exact = mpmath.expm(-1j * t * prefix(len(matrices)))
+        series = product = mpmath.eye(dim)
+        s = weight = mpmath.mpf(1)
+        for k, count in enumerate(levels, start=1):
+            if count == 0:
+                break
+            product = product * prefix(count) * (-1j * t / k)
+            series = series + product
+            weight = weight * t * mpmath.fsum(weights[:count]) / k
+            s += weight
+        amplified = (3 / s) * series - (4 / s**3) * series * series.H * series
+        errors, exact_power, amplified_power = [], exact, amplified
+        for r in range(1, r_max + 1):
+            if r > 1:
+                exact_power, amplified_power = exact_power * exact, amplified_power * amplified
+            difference = exact_power - amplified_power
+            errors.append(mpmath.sqrt(max(mpmath.eigh(difference.H * difference, eigvals_only=True))))
+        return errors
+
+
+def optimal_bound_oracle(weights, max_cost: int) -> list:
+    """The least bound at ``t_inf`` and a vector reaching it, ``(epsilon, levels)``, at every cost 0..max_cost.
+
+    Dynamic programming over the nested form of the omitted mass.  With the
+    weights sorted in descending order, ``Lambda_L`` the sum of the ``L``
+    largest, ``t = ln 2 / Lambda`` and ``phi_k = sum_{p>=0} ln(2)^p k!/(k+p)!``,
+    the least omitted mass of orders ``k, k+1, ...`` at cost ``c``, relative
+    to the weight of order ``k - 1``, is
+
+        E_k(c) = min_L [(Lambda - Lambda_L) (t/k) phi_k + (t Lambda_L / k) E_{k+1}(c - L)]
+
+    over ``0 <= L <= min(c, len(weights))``; ``L = 0`` ends the series, and
+    omits all of ``Lambda`` from order ``k`` on.  Each bracket is a sum of
+    nonnegative terms, and for a fixed ``L`` the rest is minimised on its
+    own, so ``E_1(c)`` is the least bound of any vector of cost at most
+    ``c``.  ``Lambda - Lambda_L`` is summed from the smallest weight up.
+    Stdlib floats only.
+    """
+    alphas = sorted(weights, reverse=True)
+    prefix, suffix = [0.0], [0.0]
+    for alpha in alphas:
+        prefix.append(prefix[-1] + alpha)
+    for alpha in reversed(alphas):
+        suffix.append(suffix[-1] + alpha)
+    suffix.reverse()  # suffix[L] = Lambda - Lambda_L
+    ln2 = math.log(2.0)
+    t = ln2 / prefix[-1]
+
+    def phi(k):
+        total, term = 0.0, 1.0
+        for p in range(1, 60):
+            total += term
+            term *= ln2 / (k + p)
+        return total
+
+    # every live order holds a term, so order max_cost + 1 is reached with no cost left
+    best = None
+    for k in range(max_cost + 1, 0, -1):
+        head = t / k * phi(k)
+        table = []
+        for cost in range(max_cost + 1):
+            options = [(prefix[-1] * head, ())]  # L = 0
+            if best is not None:
+                for count in range(1, min(cost, len(alphas)) + 1):
+                    rest, levels = best[cost - count]
+                    options.append((suffix[count] * head + t * prefix[count] / k * rest, (count,) + levels))
+            table.append(min(options))
+        best = table
+    return best
+
+
+def levels_at_cost(trace, cost: int) -> TruncationVector:
+    """The levels a greedy ``trace`` holds at ``cost``: its first ``cost`` insertions replayed from empty."""
+    vec = TruncationVector(levels=())
+    for step in trace.steps[:cost]:
+        vec = vec.bump(step.chosen_k)
+    return vec
 
 
 def plan_json_oracle(trace) -> str:
