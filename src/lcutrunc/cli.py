@@ -3,9 +3,9 @@
 Every command writes its result to ``--out`` (format chosen by extension) or
 stdout.  One runner serves them all: it checks the ``--out`` extension and
 directory before any work, loads the ``--hamiltonian`` or ``--template`` input
-once, runs the command for its text and writes it.  ``plan`` hands over its
-text in pieces, one per step, written as they are formatted.  Exit codes:
-0 success, 2 input error, 3 size cap exceeded, 4 non-convergence.
+once, runs the command for its text and writes it.  ``plan`` hands over its text
+in pieces, one per step, written as they are formatted.  Exit codes: 0 success,
+2 input error, 3 size cap exceeded or out of memory, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _resolve_levels(args, hamiltonian: SortedHamiltonian) -> planner.TruncationV
         return planner.checked_levels(hamiltonian, _parse_levels(args.levels))
     if args.order is not None:
         return planner.full_order_levels(hamiltonian, args.order)
-    return planner._greedy(hamiltonian, args.budget, None, record_gains=False)[3]
+    return planner._greedy(hamiltonian, args.budget, None)[2]
 
 
 def _emit(output: str | Iterable[str], out: str | None) -> None:
@@ -231,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
             code, error = EXIT_INPUT, exc
         except CapExceeded as exc:
             code, error = EXIT_CAP, exc
+        except MemoryError:  # e.g. a huge --order: every level is held in memory
+            code, error = EXIT_CAP, "out of memory; request a smaller size"
         except ConvergenceError as exc:
             code, error = EXIT_NO_CONVERGENCE, exc
     for message in dict.fromkeys(str(warning.message) for warning in caught):

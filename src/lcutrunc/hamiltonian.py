@@ -349,11 +349,12 @@ def _hasher(h: int, multiplier: int):
 
 
 def _integer_draws(seed: int, high: int) -> Iterator[int]:
-    """``numpy.random.default_rng(seed).integers(high)`` drawn one call at a time, for ``2 <= high <= 2**63``.
+    """``numpy.random.default_rng(seed).integers(high)`` one call at a time, ``high`` a power of two up to ``2**63``.
 
     ``SeedSequence`` hashes the seed's 32-bit words into a pool of four, and the pool into PCG64's
     state and increment.  PCG64 outputs the XOR of its state's halves rotated by its top six bits.
-    A draw is Lemire's multiply-shift of a 32-bit half (low first) if ``high <= 2**32``, else of an output.
+    A draw is Lemire's multiply-shift of a 32-bit half (low first) if ``high <= 2**32``, else of an
+    output; at a power of two it never rejects and reduces to a right shift.
     """
     words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
@@ -383,10 +384,6 @@ def _integer_draws(seed: int, high: int) -> Iterator[int]:
     source = outputs(((increment + (s0 << 64 | s1)) * multiplier + increment) & _M128)
     bits = 32 if high <= 1 << 32 else 64
     source = (half for x in source for half in (x & _M32, x >> 32)) if bits == 32 else source
-    mask = (1 << bits) - 1
-    threshold = (mask + 1 - high) % high  # 0 at high == 2**bits: the raw output
+    shift = bits + 1 - high.bit_length()  # x * high >> bits; 0 at high == 2**bits: the raw output
     for x in source:
-        m = x * high
-        while m & mask < threshold:
-            m = next(source) * high
-        yield m >> bits
+        yield x >> shift

@@ -19,10 +19,9 @@ the largest decrease of the error bound) per unit of gate cost.  It keeps
 the order weights across steps and recomputes only those from the bumped
 order on.  Each step makes one reverse scan over them, down to the lowest
 order that is not full, which gives the bound, the best gain estimate and
-the runner-up.  :func:`greedy_plan` adds about one :func:`insertion_gain`
-call, which confirms the winner and supplies the recorded gain.  Callers that
-need only the levels or the bounds (``--budget`` and ``compare``) record no
-gains and confirm only near-ties and gains near underflow.
+the runner-up.  :func:`insertion_gain` confirms only near-ties and gains near
+underflow.  Every command runs this one loop; :func:`greedy_plan` then reads
+the gains it prints by replaying the chosen orders from the empty vector.
 """
 
 from __future__ import annotations
@@ -263,10 +262,10 @@ def insertion_gain(
     count_k = counts[k - 1] if k <= len(counts) else 0
     if count_k >= num_terms:
         raise ValueError(f"order {k} already contains all {num_terms} terms")
+    if k > len(counts) + 1:
+        return 0.0  # an empty order lies before k
     if t is None:
         t = t_infinity(hamiltonian)
-    if k > len(counts):
-        counts += (0,) * (k - len(counts))
     prefix, weight, total = hamiltonian.prefix, 1.0, 0.0
     for j in range(1, k):
         lam = prefix[counts[j - 1]]
@@ -376,34 +375,41 @@ def greedy_plan(
     (ties break toward the lowest order) until the cost budget is spent or
     the error bound drops to ``target_epsilon``.  Exactly one stopping rule
     must be given.  Each step records, and stops on, :func:`epsilon_bound`.
-    A step costs O(K) for ``K`` populated orders (see :func:`_greedy`), and its
-    choice and recorded gain are those of calling :func:`insertion_gain` for
-    every order.
+    The steps are those of :func:`_greedy`, O(K) each for ``K`` populated
+    orders, and equal those of calling :func:`insertion_gain` for every order.
+    Each recorded gain is :func:`insertion_gain` of the step's order on the
+    vector before it, read by replaying the chosen orders from the empty vector.
 
     Raises :class:`ConvergenceError` if ``target_epsilon`` is still
     unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
     """
-    chosen, epsilons, gains, final = _greedy(hamiltonian, budget, target_epsilon, record_gains=True)
+    chosen, epsilons, final = _greedy(hamiltonian, budget, target_epsilon)
+    t, counts, gains = t_infinity(hamiltonian), [], []
+    for k in chosen:  # counts bumped in place; TruncationVector.bump would copy a list per step
+        gains.append(insertion_gain(hamiltonian, TruncationVector(levels=tuple(counts)), k, t))
+        if k > len(counts):
+            counts.append(0)
+        counts[k - 1] += 1
     return PlanTrace(
         hamiltonian_id=hamiltonian.label or "<unnamed>",
-        t=t_infinity(hamiltonian),
+        t=t,
         steps=tuple(map(PlanStep, chosen, gains, epsilons, range(1, len(chosen) + 1))),
         final=final,
     )
 
 
 def _greedy(
-    hamiltonian: SortedHamiltonian, budget: int | None, target_epsilon: float | None, record_gains: bool
-) -> tuple[list[int], list[float], list[float], TruncationVector]:
-    """The greedy loop: each step's order, the bound after each step, the gains and the final levels.
+    hamiltonian: SortedHamiltonian, budget: int | None, target_epsilon: float | None
+) -> tuple[list[int], list[float], TruncationVector]:
+    """The greedy loop of every command: each step's order, the bound after each step and the final levels.
 
     The order weights are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.
     One :func:`_scan` per step (tables built once per call) gives the bound, the best estimate and
-    the runner-up, and fills one estimate buffer, which is read only when the runner-up lies within
-    ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best, or the best within the
-    latter of 0: :func:`insertion_gain` confirms the orders it admits.  Else the best order is
-    confirmed for its recorded gain, or without ``record_gains`` taken unconfirmed: its confirmed
-    gain is above 0, so confirming would take it too.
+    the runner-up, and fills one estimate buffer.  The best estimate's order is taken, unless the
+    runner-up lies within ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best, or
+    the best within the latter of 0: then :func:`insertion_gain` confirms the orders the buffer
+    admits, and the largest confirmed gain wins.  A lone order above the screen has a confirmed gain
+    above 0 that no other order's reaches, so confirming every order would take it too.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -423,7 +429,6 @@ def _greedy(
     stop_epsilon = -1.0 if target_epsilon is None else target_epsilon  # a bound is never negative
     chosen: list[int] = []
     epsilons: list[float] = []
-    gains: list[float] = []
 
     for cost in range(cost_cap + 1):
         # the step's scan also gives the bound after the previous step
@@ -438,19 +443,14 @@ def _greedy(
             break
 
         floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
-        near_tie = runner_up >= floor or best <= screen_atol
-        if record_gains or near_tie:
-            candidates = [k for k in range(lowest, len(weights) + 1) if estimates[k] >= floor] if near_tie else [best_k]
+        if runner_up >= floor or best <= screen_atol:
             current = TruncationVector(levels=tuple(counts))
             best_k, best_gain = 0, 0.0
-            for k in candidates:
-                gain = insertion_gain(hamiltonian, current, k, t)
-                if gain > best_gain:
+            for k in range(lowest, len(weights) + 1):
+                if estimates[k] >= floor and (gain := insertion_gain(hamiltonian, current, k, t)) > best_gain:
                     best_k, best_gain = k, gain
             if best_k == 0:
                 raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
-            if record_gains:
-                gains.append(best_gain)
 
         if best_k > len(counts):
             counts.append(0)
@@ -461,4 +461,4 @@ def _greedy(
         del weights[best_k:]  # orders below best_k keep their weights
         _extend_weights(weights, prefix, counts, t)
 
-    return chosen, epsilons, gains, TruncationVector(levels=tuple(counts))
+    return chosen, epsilons, TruncationVector(levels=tuple(counts))

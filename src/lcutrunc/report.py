@@ -53,9 +53,9 @@ def generate_comparison_report(
 ) -> list[ComparisonRow]:
     """One row per full-expansion order n = 1..n_max at equal cost n*L.
 
-    A single greedy plan to cost ``n_max * L`` is computed, without its
-    gains; the bound it records at each cost is ``epsilon_bound`` of that
-    prefix vector, as in :func:`~lcutrunc.planner.greedy_plan`.
+    A single greedy run to cost ``n_max * L``, the loop behind
+    :func:`~lcutrunc.planner.greedy_plan`, records the bound at each cost:
+    ``epsilon_bound`` of that prefix vector.
     ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the smallest greedy
     cost ``c`` whose bound already undercuts the full expansion's, or None
     if the trace never does.
@@ -63,7 +63,7 @@ def generate_comparison_report(
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     num_terms = hamiltonian.num_terms
-    chosen, epsilons, _, _ = _greedy(hamiltonian, n_max * num_terms, None, record_gains=False)
+    chosen, epsilons, _ = _greedy(hamiltonian, n_max * num_terms, None)
     bounds = [1.0, *epsilons]  # the bound at each cost from 0 on
 
     # the rows share their spectral work, and each equals a standalone measurement

@@ -125,6 +125,15 @@ def test_simulate_cap_exit_code(tmp_path, monkeypatch):
     assert main(["simulate", "--hamiltonian", str(path), "--levels", "1"]) == 3
 
 
+@pytest.mark.parametrize("command", ["bound", "simulate", "resources"])
+def test_a_huge_order_exits_3_out_of_memory_with_one_error_line(ham_file, tmp_path, capsys, command):
+    # a full-order vector holds one level per order; 10**15 of them fail to allocate at once
+    out = tmp_path / "result.json"
+    assert main([command, "--hamiltonian", str(ham_file), "--order", "1000000000000000", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: out of memory; request a smaller size\n"
+    assert not out.exists()
+
+
 def test_compare_bounds_only(ham_file, tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--hamiltonian", str(ham_file), "--n-max", "3", "--out", str(out)]) == 0
@@ -400,8 +409,8 @@ PINNED_SHA256 = {"plan_target.json": "99295e7168f82ee14beca39fa28b0896c8734536a0
 
 @pytest.mark.parametrize("filename", PINNED_PLAN_LARGE_SMALL)
 def test_budget_and_compare_outputs_of_the_reduced_plan_large_input_are_pinned(tmp_path, monkeypatch, filename):
-    # every recorded step's order, gain, bound and cost, and the levels-only
-    # runs behind --budget and compare, which must take the same steps
+    # every recorded step's order, gain, bound and cost, and the runs of the
+    # same greedy loop behind --budget and compare
     monkeypatch.chdir(tmp_path)
     Path("plan_large_small.txt").write_text(format_term_list(logspread_hamiltonian(200, 6.0, 8, seed=100)))
     command, *options = PINNED_PLAN_LARGE_SMALL[filename]

@@ -357,9 +357,10 @@ def test_logspread_writes_only_weights_that_parse_back():
             logspread_hamiltonian(4, decades, 2, seed=1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**128, 2**200 + 1])
 def test_integer_draws_are_numpys_default_rng_stream(seed):
-    # below 16 qubits Lemire's method on 32-bit halves, at 16 the raw halves, above it 64-bit outputs
+    # below 16 qubits Lemire's method on 32-bit halves, at 16 the raw halves, above it 64-bit outputs;
+    # seeds of five or more 32-bit words, from 2**128 on, mix their fifth and later words into the pool
     for qubit_count in range(1, 32):
         rng = np.random.default_rng(seed)
         expected = [int(rng.integers(4**qubit_count)) for _ in range(200)]

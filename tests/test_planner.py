@@ -5,6 +5,7 @@ independent finite-sum and quadratic-formula oracles that reappear inline
 below.
 """
 
+import functools
 import math
 from decimal import Decimal
 
@@ -264,6 +265,7 @@ def test_gain_is_bit_equal_to_the_list_and_slice_formula():
 def test_gain_beyond_first_empty_order_is_zero(two_term):
     assert insertion_gain(two_term, (1,), 3) == 0.0
     assert insertion_gain(two_term, (1,), 7) == 0.0
+    assert insertion_gain(two_term, (1,), 10**15) == 0.0  # no level is held past the first empty order
 
 
 def test_gain_errors(two_term):
@@ -430,24 +432,25 @@ def test_screened_greedy_equals_the_every_order_reference(name, ham, budget, tar
 
 @pytest.mark.parametrize("name, ham, budget, target", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
 def test_greedy_without_gains_takes_the_steps_of_greedy_plan(name, ham, budget, target):
-    # the levels-only kernel confirms only ties and gains near underflow
+    # the kernel that --budget and compare call directly, against the every-order reference
     stops = [(budget, None)] + ([(None, target)] if ham.num_terms > 1 and target is not None else [])
     for stop in stops:
-        trace = greedy_plan(ham, *stop)
-        chosen, epsilons, gains, final = planner._greedy(ham, *stop, record_gains=False)
-        assert chosen == [step.chosen_k for step in trace.steps]
-        assert list(map(repr, epsilons)) == [repr(step.epsilon_after) for step in trace.steps]
-        assert gains == [] and final == trace.final
+        reference = reference_greedy_steps(ham, *stop)
+        chosen, epsilons, final = planner._greedy(ham, *stop)
+        assert chosen == [step.chosen_k for step in reference]
+        assert list(map(repr, epsilons)) == [repr(step.epsilon_after) for step in reference]
+        assert final == functools.reduce(TruncationVector.bump, chosen, TruncationVector(levels=()))
 
 
 def test_greedy_stops_where_no_gain_survives_in_double_precision():
     # a single term's order weights underflow to 0.0 past order 165, so the
-    # lone open order's gain is 0.0; the levels-only path must confirm it too
+    # lone open order's gain is 0.0; its estimate lies below the screen's
+    # absolute margin, so the kernel confirms it
     ham = parse_hamiltonian("1.0 Z")
     with pytest.raises(ConvergenceError, match="stopped at cost 165"):
         greedy_plan(ham, budget=400)
     with pytest.raises(ConvergenceError, match="stopped at cost 165"):
-        planner._greedy(ham, 400, None, record_gains=False)
+        planner._greedy(ham, 400, None)
 
 
 def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
@@ -488,9 +491,10 @@ def test_greedy_confirms_about_one_gain_per_step(monkeypatch):
     ham = logspread_hamiltonian(200, 6.0, 8, seed=2)
     trace = greedy_plan(ham, budget=800)
     assert 0 < calls <= 2 * len(trace.steps)
-    # without recorded gains a lone order above the screen's margin goes unconfirmed
+    # the kernel alone takes a lone order above the screen's margin unconfirmed;
+    # greedy_plan adds one call per step, the replay that reads its gain
     calls = 0
-    assert planner._greedy(ham, 800, None, record_gains=False)[3] == trace.final
+    assert planner._greedy(ham, 800, None)[2] == trace.final
     assert calls <= len(trace.steps) // 100
 
 
