@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -145,17 +146,20 @@ def order_weights(
 ) -> list[float]:
     """Order weights ``[w_0, ..., w_K]``, each ``w_k = w_{k-1} * (t * Lambda_k / k)``.
 
-    ``K`` is the last order before the first empty one.
+    ``K`` is the last order before the first empty one.  Past order 199, the
+    last one :func:`_scan` reads, the list also ends at the first weight of
+    0.0: every later weight is 0.0 too, so ``s(t)`` and the bound keep their bits.
     """
     return _extend_weights([1.0], hamiltonian.prefix, checked_levels(hamiltonian, levels).levels, t)
 
 
 def _extend_weights(weights: list[float], prefix: Sequence[float], counts: Sequence[int], t: float) -> list[float]:
-    """Append to ``weights = [w_0, ..., w_j]`` the order weights of ``counts`` from order ``j + 1`` on."""
+    """Append to ``weights = [w_0, ..., w_j]`` the order weights of ``counts`` from order ``j + 1`` on,
+    as far as :func:`order_weights` lists them."""
     weight = weights[-1]
     for k in range(len(weights), len(counts) + 1):
         lam = prefix[counts[k - 1]]
-        if lam == 0.0:
+        if lam == 0.0 or not weight and k >= len(_PHI) - 1:
             break
         weight *= t * lam / k
         weights.append(weight)
@@ -325,12 +329,28 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class PlanTrace:
-    """Ordered record of greedy insertions ending at ``final``."""
+    """Ordered record of greedy insertions ending at ``final``, held as three columns.
+
+    Step ``i`` (1-based) added a term to order ``orders[i - 1]``, gained ``gains[i - 1]``,
+    left the bound ``epsilons[i - 1]`` and brought the cost to ``i``.  The columns take
+    72 bytes a step on 64-bit CPython, a :class:`PlanStep` 188.
+    """
 
     hamiltonian_id: str
     t: float
-    steps: tuple[PlanStep, ...]
+    orders: tuple[int, ...]
+    gains: tuple[float, ...]
+    epsilons: tuple[float, ...]
     final: TruncationVector
+
+    def __post_init__(self):
+        if not len(self.orders) == len(self.gains) == len(self.epsilons):
+            raise ValueError("orders, gains and epsilons must have one entry per step")
+
+    @cached_property
+    def steps(self) -> tuple[PlanStep, ...]:
+        """The steps as :class:`PlanStep` records, built on first access."""
+        return tuple(map(PlanStep, self.orders, self.gains, self.epsilons, range(1, len(self.orders) + 1)))
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(payload, indent=2) + "\\n"`` for the payload of ``hamiltonian``,
@@ -348,20 +368,20 @@ class PlanTrace:
         num = float.__repr__  # as the stdlib writes floats, numpy's included
         yield f'{{\n  "hamiltonian": {json.dumps(self.hamiltonian_id)},\n  "t": {num(self.t)},\n  "steps": ['
         separator = "\n"
-        for s in self.steps:
+        for cost, (k, gain, epsilon) in enumerate(zip(self.orders, self.gains, self.epsilons), start=1):
             yield (
-                f'{separator}    {{\n      "k": {s.chosen_k},\n      "gain": {num(s.gain)},\n'
-                f'      "epsilon": {num(s.epsilon_after)},\n      "cost": {s.cost_after}\n    }}'
+                f'{separator}    {{\n      "k": {k},\n      "gain": {num(gain)},\n'
+                f'      "epsilon": {num(epsilon)},\n      "cost": {cost}\n    }}'
             )
             separator = ",\n"
         levels = ",\n".join(f"    {v}" for v in self.final.levels)
-        yield ("\n  ]" if self.steps else "]") + f',\n  "final_levels": {_json_array(levels)}\n}}\n'
+        yield ("\n  ]" if self.orders else "]") + f',\n  "final_levels": {_json_array(levels)}\n}}\n'
 
     def _csv_pieces(self) -> Iterator[str]:
         """:meth:`to_csv` as its header line and one line per step."""
         yield "step,k,gain,epsilon,cost\n"
-        for i, s in enumerate(self.steps, start=1):
-            yield f"{i},{s.chosen_k},{s.gain!r},{s.epsilon_after!r},{s.cost_after}\n"
+        for i, (k, gain, epsilon) in enumerate(zip(self.orders, self.gains, self.epsilons), start=1):
+            yield f"{i},{k},{gain!r},{epsilon!r},{i}\n"
 
 
 def greedy_plan(
@@ -379,6 +399,8 @@ def greedy_plan(
     orders, and equal those of calling :func:`insertion_gain` for every order.
     Each recorded gain is :func:`insertion_gain` of the step's order on the
     vector before it, read by replaying the chosen orders from the empty vector.
+    The trace holds the orders, gains and bounds as columns; ``steps`` builds
+    the :class:`PlanStep` records only when read.
 
     Raises :class:`ConvergenceError` if ``target_epsilon`` is still
     unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
@@ -390,12 +412,7 @@ def greedy_plan(
         if k > len(counts):
             counts.append(0)
         counts[k - 1] += 1
-    return PlanTrace(
-        hamiltonian_id=hamiltonian.label or "<unnamed>",
-        t=t,
-        steps=tuple(map(PlanStep, chosen, gains, epsilons, range(1, len(chosen) + 1))),
-        final=final,
-    )
+    return PlanTrace(hamiltonian.label or "<unnamed>", t, tuple(chosen), tuple(gains), tuple(epsilons), final)
 
 
 def _greedy(

@@ -77,6 +77,21 @@ def test_bound_with_order_to_stdout(ham_file, capsys):
     assert payload["levels"] == [2, 2]
 
 
+# bound on full orders deep past where the order weights underflow to 0.0: the
+# bytes written when every weight up to the last order was computed
+PINNED_DEEP_ORDER_SHA256 = {
+    "250": "d36e97b0faed174e172a08a293dbd91b7099c2c9f1a31ccd74f496edb0efc29c",
+    "100000": "aa78114410074968f571ed5aec36030adb2487f297dd7d4e6dfcd896a72419a9",
+}
+
+
+@pytest.mark.parametrize("order", PINNED_DEEP_ORDER_SHA256)
+def test_bound_on_a_deep_full_order_is_pinned(ham_file, monkeypatch, order):
+    monkeypatch.chdir(ham_file.parent)
+    assert main(["bound", "--hamiltonian", ham_file.name, "--order", order, "--out", "bound.json"]) == 0
+    assert hashlib.sha256(Path("bound.json").read_bytes()).hexdigest() == PINNED_DEEP_ORDER_SHA256[order]
+
+
 def test_simulate_single_step(ham_file, tmp_path):
     out = tmp_path / "sim.json"
     assert main(["simulate", "--hamiltonian", str(ham_file), "--levels", "2,1", "--out", str(out)]) == 0

@@ -7,6 +7,8 @@ below.
 
 import functools
 import math
+import operator
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -133,6 +135,20 @@ def test_s_value_two_term_derived(two_term):
 def test_s_value_gap_truncates_series(two_term):
     t = t_infinity(two_term)
     assert s_value(two_term, (2, 0, 1), t) == s_value(two_term, (2,), t)
+
+
+def test_order_weights_stop_past_order_199_at_the_first_zero_weight(two_term):
+    # the weights underflow to 0.0 before order 200 and every later one stays
+    # 0.0, so 100,000 full orders hold and sum 200 weights, with the same bits
+    deep, lam = full_order_levels(two_term, 10**5), two_term.prefix[2]
+    for t in (t_infinity(two_term), 0.5, 1.0):
+        every = [1.0]
+        for k in range(1, 1001):
+            every.append(every[-1] * (t * lam / k))
+        assert planner.order_weights(two_term, deep, t) == every[:200]
+        assert s_value(two_term, deep, t) == functools.reduce(operator.add, every)
+    assert epsilon_bound(two_term, deep) == epsilon_bound(two_term, full_order_levels(two_term, 199)) == 0.0
+    assert solve_t_root(two_term, deep) == solve_t_root(two_term, full_order_levels(two_term, 250))
 
 
 def test_epsilon_bound_values(two_term):
@@ -522,6 +538,11 @@ def test_trace_serialization_round_trip(two_term):
     assert float(rows[1]["gain"]) == trace.steps[1].gain
 
 
+def test_trace_columns_must_hold_one_entry_per_step():
+    with pytest.raises(ValueError, match="one entry per step"):
+        planner.PlanTrace("two-term", 1.0, (1, 2), (0.5,), (0.5, 0.25), TruncationVector((1, 1)))
+
+
 _SPECIAL_FLOATS = (0.0, 5e-324, 1e-300, 1.0)
 
 
@@ -532,16 +553,16 @@ def _plan_traces(draw):
     floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), finite, finite.map(np.float64))
     specials = st.sampled_from(["<unnamed>", '"', "\\", "é", "\x00\n\t\x1f"])
     label = draw(st.one_of(specials, st.text(st.characters(codec="utf-8"))))
-    step = st.builds(planner.PlanStep, st.integers(1, 200), floats, floats, st.integers(1, 10**6))
-    steps = draw(st.lists(step, max_size=5))
+    steps = draw(st.lists(st.tuples(st.integers(1, 200), floats, floats), max_size=5))
+    orders, gains, epsilons = tuple(zip(*steps)) or ((), (), ())
     levels = draw(st.lists(st.integers(1, 10**6), max_size=5))
-    return planner.PlanTrace(label, draw(floats), tuple(steps), TruncationVector(tuple(levels)))
+    return planner.PlanTrace(label, draw(floats), orders, gains, epsilons, TruncationVector(tuple(levels)))
 
 
 @settings(derandomize=True, deadline=None)
 @given(_plan_traces())
-@example(planner.PlanTrace('q"b\\s é \x07', 5e-324, (), TruncationVector(())))
-@example(planner.PlanTrace("<unnamed>", 1e-300, (planner.PlanStep(1, 0.0, 1.0, 1),), TruncationVector((1,))))
+@example(planner.PlanTrace('q"b\\s é \x07', 5e-324, (), (), (), TruncationVector(())))
+@example(planner.PlanTrace("<unnamed>", 1e-300, (1,), (0.0,), (1.0,), TruncationVector((1,))))
 def test_trace_json_is_the_stdlib_encoding_byte_for_byte(trace):
     assert trace.to_json() == plan_json_oracle(trace)
 
@@ -551,6 +572,23 @@ def test_plan_large_target_trace_json_is_the_stdlib_encoding():
     trace = greedy_plan(ham, target_epsilon=1e-12)
     assert len(trace.steps) > 10_000
     assert trace.to_json() == plan_json_oracle(trace)
+
+
+def test_plan_trace_holds_under_100_bytes_a_step():
+    # each step holds a gain and a bound as floats and three column slots, 72 bytes
+    # on 64-bit CPython; a PlanStep record held 188
+    ham = logspread_hamiltonian(200, 6.0, 8, seed=100)
+    greedy_plan(ham, budget=2)  # one-time allocations are not the trace's
+    tracemalloc.start()
+    try:
+        trace = greedy_plan(ham, target_epsilon=1e-10)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.orders) == 1819
+    assert held < 100 * len(trace.orders)
+    assert trace.steps is trace.steps
+    assert trace.steps == reference_greedy_steps(ham, target_epsilon=1e-10)
 
 
 # ---------------------------------------------------------------- roots

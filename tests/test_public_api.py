@@ -25,7 +25,7 @@ EXPORTED = {
     ],
     "PauliString": ["axes", "phase"],
     "PlanStep": ["chosen_k", "cost_after", "epsilon_after", "gain"],
-    "PlanTrace": ["final", "hamiltonian_id", "steps", "t", "to_csv", "to_json"],
+    "PlanTrace": ["epsilons", "final", "gains", "hamiltonian_id", "orders", "steps", "t", "to_csv", "to_json"],
     "ResourceEstimate": [
         "layout", "prepare_rotations", "prepare_state_sizes", "select_ops", "t_proxy", "to_json",
     ],
