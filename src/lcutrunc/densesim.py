@@ -133,16 +133,12 @@ def pauli_string_matrix(op: PauliString) -> np.ndarray:
     return matrix
 
 
-def hamiltonian_matrix(hamiltonian: SortedHamiltonian, m: int | None = None) -> np.ndarray:
-    """Sum of the ``m`` largest terms as a dense matrix (all terms if omitted)."""
+def hamiltonian_matrix(hamiltonian: SortedHamiltonian) -> np.ndarray:
+    """The sum of every term as a dense matrix."""
     _check_qubits(hamiltonian.qubit_count)
-    if m is None:
-        m = hamiltonian.num_terms
-    if not 0 <= m <= hamiltonian.num_terms:
-        raise ValueError(f"prefix length {m} out of range 0..{hamiltonian.num_terms}")
     dim = 2**hamiltonian.qubit_count
     total = np.zeros((dim, dim), dtype=complex)
-    _add_paulis(total, ((term.alpha, term.op) for term in hamiltonian.terms[:m]))
+    _add_paulis(total, ((term.alpha, term.op) for term in hamiltonian.terms))
     return total
 
 

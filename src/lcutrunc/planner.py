@@ -19,8 +19,9 @@ the largest decrease of the error bound) per unit of gate cost.  It keeps
 the order weights across steps and recomputes only those from the bumped
 order on.  Each step makes one reverse scan over them, down to the lowest
 order that is not full, which gives the bound, the best gain estimate and
-the runner-up.  :func:`insertion_gain` confirms only near-ties and gains near
-underflow.  Every command runs this one loop; :func:`greedy_plan` then reads
+the runner-up.  At a near-tie or a gain near underflow :func:`insertion_gain`
+confirms every order that is not full; otherwise the best estimate's order is
+taken.  Every command runs this one loop; :func:`greedy_plan` then reads
 the gains it prints by replaying the chosen orders from the empty vector.
 """
 
@@ -40,14 +41,15 @@ from .hamiltonian import SortedHamiltonian
 # precision cannot resolve bounds below ~1e-16 anyway.
 DEFAULT_COST_CAP_FACTOR = 64
 
-# Greedy confirms with insertion_gain every order whose estimated gain lies
-# within these margins of the best estimate.  Estimate and confirmed gain are
-# both sums and products of positive floats, each within about (2K+2)
-# roundings of the exact gain, far inside the relative margin, so no order
-# whose confirmed gain could win or tie is screened out.  Weights below the
-# smallest normal float round to absolute steps of 2**-1074 instead; these
-# add at most about K * 2**-1074 * max(1, alpha_1) to a gain, and K stays
-# below 200 because w_K <= ln(2)^K / K!, far inside the absolute margin
+# Greedy takes the best estimate's order unless the runner-up lies within these
+# margins of it; inside them it confirms every open order with insertion_gain.
+# Estimate and confirmed gain are both sums and products of positive floats,
+# each within about (2K+2) roundings of the exact gain, far inside the relative
+# margin, so outside it the best estimate's order also has the largest
+# confirmed gain.  Weights below the smallest normal float round to absolute
+# steps of 2**-1074 instead; these add at most about K * 2**-1074 *
+# max(1, alpha_1) to a gain, and K stays below 200 because
+# w_K <= ln(2)^K / K!, far inside the absolute margin
 # ``max(1, alpha_1) * _GAIN_SCREEN_ATOL``.
 _GAIN_SCREEN_RTOL = 1e-12
 _GAIN_SCREEN_ATOL = 2.0**-1000
@@ -186,20 +188,21 @@ def s_value(
 
 
 def _order_tables(t: float, orders: int) -> tuple[list[float], list[float]]:
-    """``t / m`` and ``ln 2 / m`` for the orders ``m = 1 .. min(orders, 200)``, entry 0 unused."""
-    ln2, stop = math.log(2.0), min(orders, len(_PHI) - 1) + 1
+    """``t / m`` and ``ln 2 / m`` for the orders ``m = 1 .. orders``, entry 0 unused."""
+    ln2, stop = math.log(2.0), orders + 1
     return [0.0] + [t / m for m in range(1, stop)], [0.0] + [ln2 / m for m in range(1, stop)]
 
 
 def _scan(
     hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], lowest: int,
-    tables: tuple[list[float], list[float]], estimates: list[float],
+    tables: tuple[list[float], list[float]],
 ) -> tuple[float, float, int, float]:
     """The bound, the best gain estimate, its order and the runner-up estimate.
 
-    ``w`` are the order weights of ``counts`` (contiguous for the estimates),
-    ``tables`` are :func:`_order_tables` at ``t = t_inf``, and one pass runs
-    from the top live order ``K`` down to order ``lowest``.  Every order below
+    ``w`` are the order weights of ``counts`` at ``t = t_inf`` (contiguous for
+    the estimates), at most 200 of them, since every weight from order 166 on
+    is 0.0.  ``tables`` are :func:`_order_tables` at ``t_inf``, and one pass
+    runs from the top live order ``K`` down to order ``lowest``.  Every order below
     ``lowest`` must hold all ``L`` terms: its bound term, with ``Lambda - Lambda_L = 0.0``,
     is exactly 0.0, and it has no estimate.  The bound is the omitted mass
     ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``: term ``m``
@@ -208,14 +211,14 @@ def _scan(
     counted as 1 the weights from order ``k`` on are ``w_nu / Lambda_k``, so a
     nonfull order ``k <= K`` gains about ``alpha_{L_k+1} * S_k / Lambda_k`` with
     ``S_k = sum_{nu>=k} w_nu``, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.
-    Each goes to ``estimates[k]``, ``k >= lowest``; a full order gets ``-inf``, which no screen floor admits.
+    Only nonfull orders from ``lowest`` to ``K+1`` are estimated.
     """
     terms, prefix, suffix = hamiltonian.terms, hamiltonian.prefix, hamiltonian.suffix
     num_terms, (t_over, ln2_over) = len(terms), tables
-    top = len(weights) - 1 if len(weights) < len(_PHI) else len(_PHI) - 2
+    top = len(weights) - 1
     weight = weights[top]
     epsilon = weight * ln2_over[top + 1] * _PHI[top + 1]
-    best = estimates[top + 1] = terms[0].alpha * (weight * t_over[top + 1])
+    best = terms[0].alpha * (weight * t_over[top + 1])
     best_k, runner_up, tail = top + 1, -math.inf, 0.0
     for m in range(top, lowest - 1, -1):
         tail += weight
@@ -223,13 +226,11 @@ def _scan(
         count = counts[m - 1]
         epsilon += weight * suffix[count] * t_over[m] * _PHI[m]
         if count < num_terms:
-            estimate = estimates[m] = terms[count].alpha * (tail / prefix[count])
+            estimate = terms[count].alpha * (tail / prefix[count])
             if estimate > best:
                 best, best_k, runner_up = estimate, m, best
             elif estimate > runner_up:
                 runner_up = estimate
-        else:
-            estimates[m] = -math.inf
     return epsilon, best, best_k, runner_up
 
 
@@ -242,10 +243,9 @@ def epsilon_bound(
     cancels: within about 2K ulps of the exact bound for ``K`` live orders,
     mostly the rounding of ``t_inf``.
     """
-    vec = checked_levels(hamiltonian, levels)
-    t = t_infinity(hamiltonian)
-    weights = order_weights(hamiltonian, vec, t)
-    return _scan(hamiltonian, vec.levels, weights, 1, _order_tables(t, len(weights)), [0.0] * (len(weights) + 1))[0]
+    counts, t = checked_levels(hamiltonian, levels).levels, t_infinity(hamiltonian)
+    weights = _extend_weights([1.0], hamiltonian.prefix, counts, t)
+    return _scan(hamiltonian, counts, weights, 1, _order_tables(t, len(weights)))[0]
 
 
 def insertion_gain(
@@ -299,17 +299,20 @@ def solve_t_root(
     ``|s - 2|`` is returned.  An empty first order (including the empty
     vector) leaves s(t) = 1.
     """
-    vec = as_levels(levels)
+    vec, prefix = checked_levels(hamiltonian, levels), hamiltonian.prefix
     if vec.level(1) == 0:
         raise ValueError("empty first order: s(t) = 1 has no root at 2")
-    lo = 0.0
-    hi = 1.0 / hamiltonian.prefix_lambda(vec.level(1))
+
+    def s(t: float) -> float:
+        return _sum_in_order(_extend_weights([1.0], prefix, vec.levels, t))
+
+    lo, hi = 0.0, 1.0 / prefix[vec.level(1)]
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if s_value(hamiltonian, vec, mid) > 2.0:
+        if s(mid) > 2.0:
             hi = mid
         else:
             lo = mid
-    return min((lo, hi), key=lambda t: abs(s_value(hamiltonian, vec, t) - 2.0))
+    return min((lo, hi), key=lambda t: abs(s(t) - 2.0))
 
 
 def _json_array(items: str) -> str:
@@ -422,11 +425,12 @@ def _greedy(
 
     The order weights are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.
     One :func:`_scan` per step (tables built once per call) gives the bound, the best estimate and
-    the runner-up, and fills one estimate buffer.  The best estimate's order is taken, unless the
-    runner-up lies within ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best, or
-    the best within the latter of 0: then :func:`insertion_gain` confirms the orders the buffer
-    admits, and the largest confirmed gain wins.  A lone order above the screen has a confirmed gain
-    above 0 that no other order's reaches, so confirming every order would take it too.
+    the runner-up.  The best estimate's order is taken, unless the runner-up lies within
+    ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best, or the best within the
+    latter of 0: then :func:`insertion_gain` confirms every order from ``lowest`` to ``K+1`` that is
+    not full, and the largest confirmed gain wins.  A lone order above the screen has a confirmed
+    gain above 0 that no other order's reaches, so the steps are those of confirming every order at
+    every step.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -438,7 +442,7 @@ def _greedy(
     t, num_terms = t_infinity(hamiltonian), hamiltonian.num_terms
     cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
     screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
-    tables, estimates = _order_tables(t, len(_PHI)), [0.0] * len(_PHI)  # K stays below 200
+    tables = _order_tables(t, len(_PHI) - 1)  # K stays below 200
 
     counts: list[int] = []
     weights, prefix = [1.0], hamiltonian.prefix
@@ -449,7 +453,7 @@ def _greedy(
 
     for cost in range(cost_cap + 1):
         # the step's scan also gives the bound after the previous step
-        epsilon, best, best_k, runner_up = _scan(hamiltonian, counts, weights, lowest, tables, estimates)
+        epsilon, best, best_k, runner_up = _scan(hamiltonian, counts, weights, lowest, tables)
         if cost:
             epsilons.append(epsilon)
         if epsilon <= stop_epsilon:
@@ -459,12 +463,11 @@ def _greedy(
                 raise ConvergenceError(f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}")
             break
 
-        floor = best - (best * _GAIN_SCREEN_RTOL + screen_atol)
-        if runner_up >= floor or best <= screen_atol:
+        if runner_up >= best - (best * _GAIN_SCREEN_RTOL + screen_atol) or best <= screen_atol:
             current = TruncationVector(levels=tuple(counts))
             best_k, best_gain = 0, 0.0
             for k in range(lowest, len(weights) + 1):
-                if estimates[k] >= floor and (gain := insertion_gain(hamiltonian, current, k, t)) > best_gain:
+                if current.level(k) < num_terms and (gain := insertion_gain(hamiltonian, current, k, t)) > best_gain:
                     best_k, best_gain = k, gain
             if best_k == 0:
                 raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")

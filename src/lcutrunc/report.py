@@ -8,27 +8,13 @@ plan reaches the full expansion's bound.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .densesim import _StepErrors
 from .hamiltonian import SortedHamiltonian
 from .planner import _greedy, epsilon_bound, full_order_levels
-
-CSV_COLUMNS = (
-    "n",
-    "cost",
-    "eps_full",
-    "eps_greedy",
-    "bound_ratio",
-    "delta_full",
-    "delta_greedy",
-    "delta_ratio",
-    "cost_saving_in_orders",
-)
 
 
 @dataclass(frozen=True)
@@ -44,6 +30,9 @@ class ComparisonRow:
     delta_greedy: float | None = None
     delta_ratio: float | None = None
     cost_saving_in_orders: float | None = None
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(ComparisonRow))
 
 
 def generate_comparison_report(
@@ -114,12 +103,10 @@ def _cell(value) -> str:
 
 
 def rows_to_csv(rows: list[ComparisonRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_cell(getattr(row, column)) for column in CSV_COLUMNS])
-    return buffer.getvalue()
+    """One line per row; no cell (an int, a float repr, ``inf`` or empty) holds a comma, quote or newline."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(_cell(getattr(row, column)) for column in CSV_COLUMNS) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[ComparisonRow]) -> str:

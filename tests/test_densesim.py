@@ -46,11 +46,7 @@ LN2 = math.log(2.0)
 
 
 def test_hamiltonian_matrix_single_z(single_z):
-    assert np.allclose(hamiltonian_matrix(single_z, 1), np.diag([1.0, -1.0]))
-
-
-def test_hamiltonian_matrix_empty_prefix(two_term):
-    assert np.abs(hamiltonian_matrix(two_term, 0)).max() == 0.0
+    assert np.allclose(hamiltonian_matrix(single_z), np.diag([1.0, -1.0]))
 
 
 def test_hamiltonian_matrix_against_kron_oracle():
@@ -60,7 +56,7 @@ def test_hamiltonian_matrix_against_kron_oracle():
     ) + 0.5 * np.kron(
         np.array([[0, 1], [1, 0]], dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)
     )
-    assert np.abs(hamiltonian_matrix(ham, 2) - expected).max() <= 1e-12
+    assert np.abs(hamiltonian_matrix(ham) - expected).max() <= 1e-12
 
 
 def test_pauli_string_matrix_bit_identical_to_kron_oracle():
@@ -78,13 +74,10 @@ def test_hamiltonian_matrix_prefixes_bit_identical_to_kron_oracle():
         HamiltonianTerm(alpha=float(rng.uniform(0.01, 1.0)), op=PauliString(axes, PHASE_UNITS[int(rng.integers(4))]))
         for axes in random_axes(rng, 4, 24)
     )
-    for m in range(ham.num_terms + 1):
+    for m in range(1, ham.num_terms + 1):
         terms = ham.terms[:m]
-        if terms:
-            expected = matrix_from_raw([t.coefficient for t in terms], [t.op.axes for t in terms])
-        else:
-            expected = np.zeros((16, 16), dtype=complex)
-        assert np.array_equal(hamiltonian_matrix(ham, m), expected), m
+        expected = matrix_from_raw([t.coefficient for t in terms], [t.op.axes for t in terms])
+        assert np.array_equal(hamiltonian_matrix(SortedHamiltonian.from_terms(terms)), expected), m
 
 
 def test_hamiltonian_matrix_folded_phases():
@@ -164,8 +157,8 @@ def test_series_first_order(single_z):
 def test_series_product_ordering(two_term):
     # order-2 coefficient is (-it)^2/2 * H_2 H_1-prefix product, left factor first
     t = 0.4
-    h2 = hamiltonian_matrix(two_term, 2)
-    h1 = hamiltonian_matrix(two_term, 1)
+    h2 = hamiltonian_matrix(two_term)
+    h1 = hamiltonian_matrix(SortedHamiltonian.from_terms(two_term.terms[:1]))
     expected = np.eye(4) + (-1j * t) * h2 + ((-1j * t) ** 2 / 2) * (h2 @ h1)
     assert np.abs(truncated_series_operator(two_term, (2, 1), t) - expected).max() <= 1e-13
     # an empty order ends the series: orders past it are never read

@@ -149,6 +149,12 @@ def test_order_weights_stop_past_order_199_at_the_first_zero_weight(two_term):
         assert s_value(two_term, deep, t) == functools.reduce(operator.add, every)
     assert epsilon_bound(two_term, deep) == epsilon_bound(two_term, full_order_levels(two_term, 199)) == 0.0
     assert solve_t_root(two_term, deep) == solve_t_root(two_term, full_order_levels(two_term, 250))
+    # at t_inf every weight from order 166 on is 0.0, whatever the scale of the
+    # weights, so the greedy scan never reads more than 200
+    for text in ("1.0 Z", "1.0 ZI\n0.1 XX", "1e307 ZZ\n5e306 XX\n3e306 YY", "1e-300 Z\n1e-301 X"):
+        ham = parse_hamiltonian(text)
+        weights = planner.order_weights(ham, full_order_levels(ham, 10**5), t_infinity(ham))
+        assert len(weights) == 200 and weights[166:] == [0.0] * 34, text
 
 
 def test_epsilon_bound_values(two_term):
@@ -477,19 +483,17 @@ def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     for cost in range(len(trace.steps)):
         vec = levels_at_cost(trace, cost)
         weights = planner.order_weights(ham, vec, t)
-        buffer = [math.nan] * (len(weights) + 1)
         tables = planner._order_tables(t, len(weights))
-        epsilon, best, best_k, runner_up = planner._scan(ham, vec.levels, weights, 1, tables, buffer)
+        epsilon, best, best_k, runner_up = planner._scan(ham, vec.levels, weights, 1, tables)
         assert epsilon == epsilon_bound(ham, vec)
-        assert not any(map(math.isnan, buffer[1:]))  # a full order reads -inf
-        estimates = {k: estimate for k, estimate in enumerate(buffer) if k and estimate > -math.inf}
-        assert best == estimates[best_k] == max(estimates.values())
-        assert runner_up == max([-math.inf] + sorted(estimates.values())[:-1])
-        expected = [k for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms]
-        assert list(estimates) == expected
-        for k, estimate in estimates.items():
-            gain = insertion_gain(ham, vec, k, t)
-            worst = max(worst, abs(estimate - gain) / gain)
+        gains = {k: insertion_gain(ham, vec, k, t) for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms}
+        first, second = (sorted(gains.values(), reverse=True) + [-math.inf])[:2]
+        assert gains[best_k] == first  # the best estimate's order has the largest confirmed gain
+        worst = max(worst, abs(best - first) / first)
+        if second == -math.inf:
+            assert runner_up == -math.inf  # no other order is open
+        else:
+            worst = max(worst, abs(runner_up - second) / second)
     assert max(trace.final.levels) == ham.num_terms
     assert worst <= 1e-14
 
@@ -636,6 +640,27 @@ def test_t_root_of_a_linear_normalization_is_exact():
 def test_t_root_rejects_empty_vector(two_term):
     with pytest.raises(ValueError, match="no root"):
         solve_t_root(two_term, ())
+
+
+def test_t_root_checks_the_vector_once(two_term, monkeypatch):
+    calls = 0
+    checked = planner.checked_levels
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return checked(*args)
+
+    def unused(*args):
+        raise AssertionError("solve_t_root sums the order weights itself")
+
+    expected = solve_t_root(two_term, (2, 1))
+    monkeypatch.setattr(planner, "checked_levels", counted)
+    monkeypatch.setattr(planner, "s_value", unused)
+    assert solve_t_root(two_term, (2, 1)) == expected
+    assert calls == 1
+    with pytest.raises(ValueError, match="outside 0..2, the term count"):
+        solve_t_root(two_term, (3, 1))
 
 
 # ---------------------------------------------------------------- properties
