@@ -227,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             code = _run(args)
-        except (TermListError, ValueError) as exc:
+        except ValueError as exc:  # TermListError among them
             code, error = EXIT_INPUT, exc
         except CapExceeded as exc:
             code, error = EXIT_CAP, exc

@@ -6,7 +6,7 @@ into the Pauli string itself.  Terms are stored sorted by descending weight
 so that the first ``m`` terms are always the ``m`` largest, and prefix sums
 of the weights are precomputed for the planner.
 
-Term-list text format (the only ingestion path)::
+Term-list text format::
 
     # comment
     1.5      ZZII
@@ -14,8 +14,12 @@ Term-list text format (the only ingestion path)::
     0.5i     YIII      # pure-imaginary coefficients allowed
 
 One term per line: a real or pure-imaginary coefficient (``a``, ``-a``,
-``ai``, ``-ai``; ``j`` also accepted), then a string over ``IXYZ``.  Lines
-that repeat a string are merged into one term.
+``ai``, ``-ai``; ``j`` also accepted), then a string over ``IXYZ``.
+
+Every constructor (parsing, ``SortedHamiltonian.from_terms`` and both
+generators) ends in one builder: the coefficients of each string are summed,
+a sum that is 0 or below ``DROP_THRESHOLD`` times the largest input magnitude
+is dropped, and each kept sum's phase is folded once.
 """
 
 from __future__ import annotations
@@ -24,15 +28,16 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import TermListError
 
 PHASE_UNITS = (1 + 0j, -1 + 0j, 1j, -1j)
 
-# Coefficients below this fraction of an input's largest magnitude cannot
-# affect bounds at double precision and are dropped at parse time.  Bounds and
-# plans do not change under H -> cH, so neither does what is dropped.
+# A string's summed coefficient below this fraction of an input's largest
+# magnitude cannot affect bounds at double precision, and every constructor
+# drops it.  Bounds and plans do not change under H -> cH, so neither does what
+# is dropped.
 DROP_THRESHOLD = 1e-15
 
 _PHASE_PREFIX = {1 + 0j: "", -1 + 0j: "-", 1j: "", -1j: "-"}
@@ -99,59 +104,13 @@ class SortedHamiltonian:
 
     @classmethod
     def from_terms(cls, terms: Iterable[HamiltonianTerm], label: str = "") -> "SortedHamiltonian":
-        """Merge repeated strings, sort terms by descending weight (stable) and build prefix sums.
+        """Build from terms by the rule that parsing follows: repeated strings summed, then small sums dropped.
 
-        Repeats are merged in order of first appearance by summing their coefficients, with
-        one warning; sums that are 0 or below ``DROP_THRESHOLD`` times the largest input
-        weight are dropped with a warning.  Raises :class:`TermListError` naming the string
-        for a sum neither real nor pure-imaginary, and for weights whose sum overflows.
+        A sum of 0, or a term or sum below ``DROP_THRESHOLD`` times the largest input weight, is
+        dropped.  Raises :class:`TermListError` naming the string for a sum neither real nor
+        pure-imaginary, and for weights whose sum overflows.
         """
-        merged: dict[str, HamiltonianTerm] = {}
-        sums: dict[str, complex] = {}  # coefficient sums of the repeated strings only
-        largest = 0.0  # of the repeats; the first appearances are read only if a repeat exists
-        for term in terms:
-            axes = term.op.axes
-            if axes in merged:
-                sums[axes] = sums.get(axes, merged[axes].coefficient) + term.coefficient
-                largest = max(largest, term.alpha)
-            else:
-                merged[axes] = term
-        if sums:
-            threshold = _drop_threshold(max(largest, max(term.alpha for term in merged.values())))
-        dropped = 0
-        for axes, coefficient in sums.items():
-            if not coefficient or abs(coefficient) < threshold:
-                dropped += 1
-                del merged[axes]
-                continue
-            try:
-                alpha, phase = _fold_phase(coefficient)
-            except ValueError as exc:
-                raise TermListError(f"Pauli string {axes}: {exc}") from None
-            merged[axes] = HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase))
-        if sums:
-            warnings.warn(f"merged repeated lines of {len(sums)} Pauli string(s) by summing their coefficients")
-        if dropped:
-            warnings.warn(f"dropped {dropped} term(s) with |coefficient| < {threshold}")
-
-        ordered = sorted(merged.values(), key=lambda term: -term.alpha)
-        if not ordered:
-            raise TermListError("no usable terms found in input")
-        qubit_count = len(ordered[0].op)
-        if any(len(t.op) != qubit_count for t in ordered):
-            raise TermListError("all Pauli strings must have equal length")
-        prefix = tuple(accumulate((term.alpha for term in ordered), initial=0.0))
-        if not math.isfinite(prefix[-1]):
-            raise TermListError(f"the weights sum to {prefix[-1]}, past the largest float")
-        suffix = tuple(accumulate((term.alpha for term in reversed(ordered)), initial=0.0))[::-1]
-        return cls(
-            terms=tuple(ordered),
-            qubit_count=qubit_count,
-            prefix=prefix,
-            suffix=suffix,
-            lambda_total=prefix[-1],
-            label=label,
-        )
+        return _build([(term.coefficient, term.op.axes, 0) for term in terms], label)
 
     @property
     def num_terms(self) -> int:
@@ -164,9 +123,51 @@ class SortedHamiltonian:
         return self.prefix[m]
 
 
-def _drop_threshold(largest: float) -> float:
-    """The magnitude below which a coefficient is dropped, for an input whose largest magnitude is ``largest``."""
-    return DROP_THRESHOLD * (largest or 1.0)
+def _build(rows: list[tuple[complex, str, int]], label: str) -> SortedHamiltonian:
+    """The one way in: sum each string's ``(coefficient, axes, line)`` rows, drop, fold once and sort (stable).
+
+    Sums are formed in order of first appearance; one that is 0 or below ``DROP_THRESHOLD`` times
+    the largest input magnitude is dropped.  An axes or fold error names the line of a string given
+    once, the string itself when its rows were merged.  Rows not read from text carry line 0.
+    """
+    sums: dict[str, complex] = {}
+    lines: dict[str, int | None] = {}  # None once a string repeats
+    for coefficient, axes, line in rows:
+        if axes in sums:
+            sums[axes] += coefficient
+            lines[axes] = None
+        else:
+            sums[axes] = coefficient
+            lines[axes] = line
+    # the threshold scales with the input, so it is known only after every row is read
+    threshold = DROP_THRESHOLD * (max([abs(row[0]) for row in rows], default=0.0) or 1.0)
+    terms: list[HamiltonianTerm] = []
+    for axes, coefficient in sums.items():
+        if not coefficient or abs(coefficient) < threshold:
+            continue
+        try:
+            alpha, phase = _fold_phase(coefficient)
+            terms.append(HamiltonianTerm(alpha, PauliString(axes, phase)))
+        except ValueError as exc:
+            where = f"Pauli string {axes}" if lines[axes] is None else f"line {lines[axes]}"
+            raise TermListError(f"{where}: {exc}") from None
+    merged = list(lines.values()).count(None)
+    if merged:
+        warnings.warn(f"merged repeated lines of {merged} Pauli string(s) by summing their coefficients")
+    if len(terms) < len(sums):
+        warnings.warn(f"dropped {len(sums) - len(terms)} term(s) with |coefficient| < {threshold}")
+
+    terms.sort(key=lambda term: -term.alpha)
+    if not terms:
+        raise TermListError("no usable terms found in input")
+    qubit_count = len(terms[0].op)
+    if any(len(t.op) != qubit_count for t in terms):
+        raise TermListError("all Pauli strings must have equal length")
+    prefix = tuple(accumulate((term.alpha for term in terms), initial=0.0))
+    if not math.isfinite(prefix[-1]):
+        raise TermListError(f"the weights sum to {prefix[-1]}, past the largest float")
+    suffix = tuple(accumulate((term.alpha for term in reversed(terms)), initial=0.0))[::-1]
+    return SortedHamiltonian(tuple(terms), qubit_count, prefix, suffix, prefix[-1], label)
 
 
 def _parse_coefficient(token: str) -> complex:
@@ -176,6 +177,8 @@ def _parse_coefficient(token: str) -> complex:
         raise ValueError(f"cannot parse coefficient {token!r}") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"coefficient {token!r} must be finite")
+    if value.real and value.imag:
+        _fold_phase(value)  # raises for a literal that is neither real nor pure-imaginary
     return value
 
 
@@ -192,54 +195,27 @@ def _fold_phase(coefficient: complex) -> tuple[float, complex]:
     )
 
 
-def parse_hamiltonian(source: str | IO[str], label: str = "") -> SortedHamiltonian:
-    """Parse the term-list format into a :class:`SortedHamiltonian`.
+def parse_hamiltonian(source: str, label: str = "") -> SortedHamiltonian:
+    """Parse the term-list format into a :class:`SortedHamiltonian`, by the one rule of every constructor.
 
-    Coefficients are normalized to positive magnitudes with the unit phase
-    folded into the Pauli string.  Lines whose coefficient is 0 or below
-    ``DROP_THRESHOLD`` times the largest magnitude of the input are dropped
-    with a warning; repeated strings are merged by
-    :meth:`SortedHamiltonian.from_terms`.  Raises
-    :class:`TermListError` with a line number on malformed input, or as
-    ``from_terms`` does.
+    Each line must hold two fields and a finite, real or pure-imaginary coefficient.  Repeated
+    strings are then summed, and a sum that is 0 or below ``DROP_THRESHOLD`` times the largest
+    magnitude of the input is dropped.  Raises :class:`TermListError` with a line number on
+    malformed input, or naming a merged string whose sum is neither real nor pure-imaginary.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source.read().splitlines()
-
-    rows: list[tuple[int, complex, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    rows: list[tuple[complex, str, int]] = []
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise TermListError(
-                f"line {lineno}: expected '<coefficient> <pauli-string>', got {raw!r}"
-            )
+            raise TermListError(f"line {lineno}: expected '<coefficient> <pauli-string>', got {raw!r}")
         try:
-            rows.append((lineno, _parse_coefficient(fields[0]), fields[1]))
+            rows.append((_parse_coefficient(fields[0]), fields[1], lineno))
         except ValueError as exc:
             raise TermListError(f"line {lineno}: {exc}") from None
-
-    # the threshold scales with the input, so it is known only after every line is read
-    threshold = _drop_threshold(max((abs(coefficient) for _, coefficient, _ in rows), default=0.0))
-    terms: list[HamiltonianTerm] = []
-    dropped = 0
-    for lineno, coefficient, axes in rows:
-        if not coefficient or abs(coefficient) < threshold:
-            dropped += 1
-            continue
-        try:
-            alpha, phase = _fold_phase(coefficient)
-            terms.append(HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes, phase=phase)))
-        except ValueError as exc:
-            raise TermListError(f"line {lineno}: {exc}") from None
-
-    if dropped:
-        warnings.warn(f"dropped {dropped} line(s) with |coefficient| < {threshold}")
-    return SortedHamiltonian.from_terms(terms, label=label)
+    return _build(rows, label)
 
 
 def format_term_list(hamiltonian: SortedHamiltonian) -> str:
@@ -259,8 +235,8 @@ def random_hamiltonian(
 
     The Pauli strings (including their phases) are taken from ``template``;
     the result is re-sorted.  Deterministic for a fixed seed.  Raises if a
-    draw is 0 or below ``DROP_THRESHOLD`` times the largest draw, since
-    parsing the written term list would drop it.
+    draw is 0 or below ``DROP_THRESHOLD`` times the largest draw, which the
+    builder, and so parsing the written term list, would drop.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -274,13 +250,13 @@ def random_hamiltonian(
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
     smallest, largest = float(draws.min()), float(draws.max())
-    if not smallest or smallest < _drop_threshold(largest):
+    if not smallest or smallest < DROP_THRESHOLD * largest:
         raise ValueError(
             f"mu {mu} and sigma {sigma} drew the weight {smallest!r}, which would be dropped "
             f"on parsing, below {DROP_THRESHOLD} of the largest draw {largest!r}"
         )
-    terms = [HamiltonianTerm(alpha=a, op=term.op) for a, term in zip(draws, template.terms)]
-    return SortedHamiltonian.from_terms(terms, label=f"{template.label}+random" if template.label else "random")
+    rows = [(term.op.phase * a, term.op.axes, 0) for a, term in zip(draws.tolist(), template.terms)]
+    return _build(rows, f"{template.label}+random" if template.label else "random")
 
 
 def logspread_hamiltonian(
@@ -290,9 +266,9 @@ def logspread_hamiltonian(
 
     Weight ``l`` is ``10**(-decades * l / (num_terms - 1))``, so the weights
     run from 1 down to ``10**-decades``, which must not fall below
-    ``DROP_THRESHOLD`` of the largest, 1, so that the term list parses back
-    whole.  Operators are random distinct Pauli strings on ``qubit_count``
-    qubits, coded by the draws of
+    ``DROP_THRESHOLD`` of the largest, 1, so that no term is dropped and the
+    term list parses back whole.  Operators are random distinct Pauli strings
+    on ``qubit_count`` qubits, coded by the draws of
     ``numpy.random.default_rng(seed).integers(4**qubit_count)``, reproduced
     in pure Python: the same seed gives the same bytes under any numpy, or
     none.
@@ -323,14 +299,14 @@ def logspread_hamiltonian(
         if code not in chosen:
             chosen.add(code)
             codes.append(code)
-    terms = []
+    rows = []
     for alpha, code in zip(alphas, codes):
         axes = ""
         for _ in range(qubit_count):
             axes += "IXYZ"[code % 4]
             code //= 4
-        terms.append(HamiltonianTerm(alpha=alpha, op=PauliString(axes=axes)))
-    return SortedHamiltonian.from_terms(terms, label=f"logspread-{num_terms}x{decades}")
+        rows.append((alpha, axes, 0))
+    return _build(rows, f"logspread-{num_terms}x{decades}")
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -363,6 +363,24 @@ def test_bad_levels_string(ham_file):
     assert main(["bound", "--hamiltonian", str(ham_file), "--levels", "2;1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, qubit_cap, message",
+    [
+        (["bound"], None, "specify exactly one of --levels, --order, --budget"),
+        (["bound", "--order", "1", "--budget", "2"], None, "specify exactly one of --levels, --order, --budget"),
+        (["bound", "--order", "-1"], None, "order must be nonnegative"),
+        (["simulate", "--order", "1"], "abc", "LCUTRUNC_QUBIT_CAP must be an integer, got 'abc'"),
+    ],
+)
+def test_bad_levels_options_and_cap_setting_exit_2_with_one_error_line(
+    ham_file, monkeypatch, capsys, argv, qubit_cap, message
+):
+    if qubit_cap is not None:
+        monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", qubit_cap)
+    assert main([argv[0], "--hamiltonian", str(ham_file), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["bound", "simulate", "resources"])
 @pytest.mark.parametrize("levels", ["0", "0,3", "3,0", "2,0,1", ""])
 def test_degenerate_levels_end_in_a_known_exit_code(ham_file, command, levels):

@@ -102,7 +102,7 @@ def test_non_finite_coefficients_rejected():
 
 def test_weights_whose_sum_overflows_are_rejected():
     # each weight is finite, but Lambda is not; 1.0 is below 1e-15 of 1e308 and is dropped
-    with pytest.raises(TermListError, match="weights sum to inf"), pytest.warns(UserWarning, match="dropped 1 line"):
+    with pytest.raises(TermListError, match="weights sum to inf"), pytest.warns(UserWarning, match="dropped 1 term"):
         parse_hamiltonian("1.0 ZZ\n1e308 XX\n1e308 YY")
     big = PauliString(axes="X")
     with pytest.raises(TermListError, match="weights sum to inf"):
@@ -114,6 +114,10 @@ def test_tiny_terms_dropped_with_warning():
     with pytest.warns(UserWarning, match="dropped 1"):
         ham = parse_hamiltonian("1.0 Z\n1e-16 X")
     assert ham.num_terms == 1
+    # lines are summed before the drop: two lines of 6e-16 make a kept 1.2e-15
+    with pytest.warns(UserWarning, match="merged repeated lines of 1 Pauli"):
+        ham = parse_hamiltonian("1 Z\n6e-16 X\n6e-16 X")
+    assert [(t.op.axes, t.alpha) for t in ham.terms] == [("Z", 1.0), ("X", 1.2e-15)]
 
 
 def test_all_terms_dropped_is_error():
@@ -142,12 +146,13 @@ def test_cancelling_strings_are_dropped():
     assert any("dropped 1 term" in m for m in messages)
     with pytest.raises(TermListError, match="no usable terms"), pytest.warns(UserWarning):
         parse_hamiltonian("0.5 X\n-0.5 X")
-    # tiny lines and cancelled sums are dropped by different stages, each counted once
+    # one rule for every string: sum its lines, then drop a sum that is 0 or below the threshold
     with pytest.warns(UserWarning) as record:
         parse_hamiltonian("1e-16 Y\n1 Z\n1 X\n-1 X\n0 Y")
-    messages = [str(w.message) for w in record]
-    assert "dropped 2 line(s) with |coefficient| < 1e-15" in messages
-    assert "dropped 1 term(s) with |coefficient| < 1e-15" in messages
+    assert [str(w.message) for w in record] == [
+        "merged repeated lines of 2 Pauli string(s) by summing their coefficients",
+        "dropped 2 term(s) with |coefficient| < 1e-15",
+    ]
 
 
 def test_merged_sum_with_a_general_phase_names_the_string():
@@ -173,11 +178,23 @@ def test_from_terms_merges_repeated_strings_like_the_parser():
         SortedHamiltonian.from_terms([term(0.5, "XI"), term(0.5, "XI", 1j)])
     with pytest.raises(TermListError, match="no usable terms"), pytest.warns(UserWarning):
         SortedHamiltonian.from_terms([term(0.5, "XI"), term(0.5, "XI", -1 + 0j)])
+    # a term below the threshold is dropped as parsing drops its line, so the text round-trips
+    with pytest.warns(UserWarning) as record:
+        ham = SortedHamiltonian.from_terms([term(1.0, "Z"), term(1e-20, "X")])
+    assert [str(w.message) for w in record] == ["dropped 1 term(s) with |coefficient| < 1e-15"]
+    assert [t.op.axes for t in ham.terms] == ["Z"]
+    assert parse_hamiltonian(format_term_list(ham)).terms == ham.terms
 
 
 def test_zero_alpha_rejected_at_type_level():
     with pytest.raises(ValueError):
         HamiltonianTerm(alpha=0.0, op=PauliString(axes="Z"))
+
+
+@pytest.mark.parametrize("axes, phase, message", [("", 1, "at least one qubit"), ("Z", 2, "phase must be one of")])
+def test_pauli_string_rejects_no_qubits_and_a_phase_off_the_units(axes, phase, message):
+    with pytest.raises(ValueError, match=message):
+        PauliString(axes, phase)
 
 
 def test_numpy_weights_write_the_same_bytes_as_python_floats():
@@ -250,10 +267,14 @@ _AXES = ("XI", "ZZ", "YX", "IY")
 
 @st.composite
 def _term_lists(draw):
-    """Term-list lines over a few strings, repeats likely; each string is real or imaginary throughout."""
+    """Term-list lines over a few strings, repeats likely, some tiny; each string is real or imaginary throughout."""
     imaginary = {axes: draw(st.booleans()) for axes in _AXES}
     entries = draw(
-        st.lists(st.tuples(st.sampled_from(_AXES), st.floats(1e-3, 10.0), st.booleans()), min_size=1, max_size=10)
+        st.lists(
+            st.tuples(st.sampled_from(_AXES), st.floats(1e-3, 10.0) | st.floats(1e-17, 1e-15), st.booleans()),
+            min_size=1,
+            max_size=10,
+        )
     )
     return [
         (f"{'-' if negative else ''}{magnitude!r}{'i' if imaginary[axes] else ''}", axes)

@@ -86,6 +86,7 @@ def test_truncation_vector_normalization():
     assert vec.kappa == 2
     assert vec.cost == 3
     assert vec.level(1) == 2 and vec.level(5) == 0
+    assert list(vec) == [2, 1]
     assert TruncationVector.from_levels([2, 0, 1]).kappa == 2
     with pytest.raises(ValueError):
         TruncationVector.from_levels([-1])
@@ -95,6 +96,8 @@ def test_truncation_vector_normalization():
 def test_bump_rejects_order_below_one(k):
     with pytest.raises(ValueError, match="1-based"):
         TruncationVector((2, 1)).bump(k)
+    with pytest.raises(ValueError, match="1-based"):
+        TruncationVector(levels=(1,)).level(k)
     assert TruncationVector((2, 1)).bump(3).levels == (2, 1, 1)
 
 
@@ -121,6 +124,8 @@ def test_s_value_empty_vector_is_one(two_term):
 def test_s_value_single_term():
     ham = parse_hamiltonian("1.0 Z")
     assert s_value(ham, (1,), LN2) == pytest.approx(1.0 + LN2, abs=1e-15)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        s_value(ham, (1,), -1.0)
 
 
 def test_s_value_two_term_derived(two_term):
