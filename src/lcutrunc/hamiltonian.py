@@ -108,7 +108,7 @@ class SortedHamiltonian:
 
         A sum of 0, or a term or sum below ``DROP_THRESHOLD`` times the largest input weight, is
         dropped.  Raises :class:`TermListError` naming the string for a sum neither real nor
-        pure-imaginary, and for weights whose sum overflows.
+        pure-imaginary or past the largest float, and for weights whose sum overflows.
         """
         return _build([(term.coefficient, term.op.axes, 0) for term in terms], label)
 
@@ -127,8 +127,9 @@ def _build(rows: list[tuple[complex, str, int]], label: str) -> SortedHamiltonia
     """The one way in: sum each string's ``(coefficient, axes, line)`` rows, drop, fold once and sort (stable).
 
     Sums are formed in order of first appearance; one that is 0 or below ``DROP_THRESHOLD`` times
-    the largest input magnitude is dropped.  An axes or fold error names the line of a string given
-    once, the string itself when its rows were merged.  Rows not read from text carry line 0.
+    the largest input magnitude is dropped.  An axes or fold error, or a kept sum past the largest
+    float, names the line of a string given once, the string itself when its rows were merged.
+    Rows not read from text carry line 0.
     """
     sums: dict[str, complex] = {}
     lines: dict[str, int | None] = {}  # None once a string repeats
@@ -146,6 +147,8 @@ def _build(rows: list[tuple[complex, str, int]], label: str) -> SortedHamiltonia
         if not coefficient or abs(coefficient) < threshold:
             continue
         try:
+            if math.isinf(abs(coefficient)):
+                raise ValueError(f"the coefficients sum to {abs(coefficient)}, past the largest float")
             alpha, phase = _fold_phase(coefficient)
             terms.append(HamiltonianTerm(alpha, PauliString(axes, phase)))
         except ValueError as exc:

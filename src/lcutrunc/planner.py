@@ -18,11 +18,11 @@ the order whose next term buys the largest increase of ``s`` (equivalently,
 the largest decrease of the error bound) per unit of gate cost.  It keeps
 the order weights across steps and recomputes only those from the bumped
 order on.  Each step makes one reverse scan over them, down to the lowest
-order that is not full, which gives the bound, the best gain estimate and
-the runner-up.  At a near-tie or a gain near underflow :func:`insertion_gain`
-confirms every order that is not full; otherwise the best estimate's order is
-taken.  Every command runs this one loop; :func:`greedy_plan` then reads
-the gains it prints by replaying the chosen orders from the empty vector.
+order that is not full, which gives the bound and every open order's gain
+with the float operations of :func:`insertion_gain`, so the order taken has
+the largest :func:`insertion_gain`, bit for bit, the lowest such order at a
+tie.  Every command runs this one loop; :func:`greedy_plan` then reads the
+gains it prints by replaying the chosen orders from the empty vector.
 """
 
 from __future__ import annotations
@@ -40,20 +40,6 @@ from .hamiltonian import SortedHamiltonian
 # Cost cap for target-epsilon plans, as a multiple of the term count; double
 # precision cannot resolve bounds below ~1e-16 anyway.
 DEFAULT_COST_CAP_FACTOR = 64
-
-# Greedy takes the best estimate's order unless the runner-up lies within these
-# margins of it; inside them it confirms every open order with insertion_gain.
-# Estimate and confirmed gain are both sums and products of positive floats,
-# each within about (2K+2) roundings of the exact gain, far inside the relative
-# margin, so outside it the best estimate's order also has the largest
-# confirmed gain.  Weights below the smallest normal float round to absolute
-# steps of 2**-1074 instead; these add at most about K * 2**-1074 *
-# max(1, alpha_1) to a gain, and K stays below 200 because
-# w_K <= ln(2)^K / K!, far inside the absolute margin
-# ``max(1, alpha_1) * _GAIN_SCREEN_ATOL``.
-_GAIN_SCREEN_RTOL = 1e-12
-_GAIN_SCREEN_ATOL = 2.0**-1000
-
 
 # phi_m(ln 2) = sum_{p>=0} ln(2)^p m!/(m+p)! for m = 0..200, by the recurrence
 # phi_{m-1} = 1 + ln(2) phi_m / m down from phi_240 = 1, which divides the start's
@@ -196,22 +182,22 @@ def _order_tables(t: float, orders: int) -> tuple[list[float], list[float]]:
 def _scan(
     hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], lowest: int,
     tables: tuple[list[float], list[float]],
-) -> tuple[float, float, int, float]:
-    """The bound, the best gain estimate, its order and the runner-up estimate.
+) -> tuple[float, float, int]:
+    """The bound, the largest gain and its lowest order.
 
     ``w`` are the order weights of ``counts`` at ``t = t_inf`` (contiguous for
-    the estimates), at most 200 of them, since every weight from order 166 on
+    the gains), at most 200 of them, since every weight from order 166 on
     is 0.0.  ``tables`` are :func:`_order_tables` at ``t_inf``, and one pass
     runs from the top live order ``K`` down to order ``lowest``.  Every order below
     ``lowest`` must hold all ``L`` terms: its bound term, with ``Lambda - Lambda_L = 0.0``,
-    is exactly 0.0, and it has no estimate.  The bound is the omitted mass
+    is exactly 0.0, and it has no gain.  The bound is the omitted mass
     ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``: term ``m``
     holds the products whose first omitted factor lies in order ``m``; order
-    ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  With ``Lambda_k``
-    counted as 1 the weights from order ``k`` on are ``w_nu / Lambda_k``, so a
-    nonfull order ``k <= K`` gains about ``alpha_{L_k+1} * S_k / Lambda_k`` with
-    ``S_k = sum_{nu>=k} w_nu``, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.
-    Only nonfull orders from ``lowest`` to ``K+1`` are estimated.
+    ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  The gains are
+    :func:`insertion_gain`'s, bit for bit: a nonfull order ``k <= K`` gains
+    ``alpha_{L_k+1} * S_k / Lambda_k`` with ``S_k`` the sum of ``w_K, ..., w_k`` from the
+    top down, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.  Only nonfull
+    orders from ``lowest`` to ``K+1`` are scanned; a tie goes to the lowest order.
     """
     terms, prefix, suffix = hamiltonian.terms, hamiltonian.prefix, hamiltonian.suffix
     num_terms, (t_over, ln2_over) = len(terms), tables
@@ -219,19 +205,15 @@ def _scan(
     weight = weights[top]
     epsilon = weight * ln2_over[top + 1] * _PHI[top + 1]
     best = terms[0].alpha * (weight * t_over[top + 1])
-    best_k, runner_up, tail = top + 1, -math.inf, 0.0
+    best_k, tail = top + 1, 0.0
     for m in range(top, lowest - 1, -1):
         tail += weight
         weight = weights[m - 1]
         count = counts[m - 1]
         epsilon += weight * suffix[count] * t_over[m] * _PHI[m]
-        if count < num_terms:
-            estimate = terms[count].alpha * (tail / prefix[count])
-            if estimate > best:
-                best, best_k, runner_up = estimate, m, best
-            elif estimate > runner_up:
-                runner_up = estimate
-    return epsilon, best, best_k, runner_up
+        if count < num_terms and (gain := terms[count].alpha * (tail / prefix[count])) >= best:
+            best, best_k = gain, m
+    return epsilon, best, best_k
 
 
 def epsilon_bound(
@@ -257,8 +239,11 @@ def insertion_gain(
     """Increase of s(t) from adding the next-largest term to order ``k``.
 
     The next term's weight times the order weights from ``k`` on, with
-    ``Lambda_k`` counted as 1.  Adding to the first empty order revives the
-    orders after it; an empty order ahead of ``k`` makes the gain 0.
+    ``Lambda_k`` counted as 1: for a live order ``alpha * S_k / Lambda_k``, with
+    ``S_k`` the sum of :func:`order_weights` from the top order down to ``k``.
+    Adding to the first empty order revives the orders after it; an empty
+    order ahead of ``k`` makes the gain 0.  These are :func:`_scan`'s float
+    operations, so greedy's choice is the order of the largest gain, bit for bit.
     """
     if k < 1:
         raise ValueError("order index is 1-based")
@@ -266,25 +251,17 @@ def insertion_gain(
     count_k = counts[k - 1] if k <= len(counts) else 0
     if count_k >= num_terms:
         raise ValueError(f"order {k} already contains all {num_terms} terms")
-    if k > len(counts) + 1:
-        return 0.0  # an empty order lies before k
     if t is None:
         t = t_infinity(hamiltonian)
-    prefix, weight, total = hamiltonian.prefix, 1.0, 0.0
-    for j in range(1, k):
-        lam = prefix[counts[j - 1]]
-        if lam == 0.0:
-            break
-        weight *= t * lam / j
-    else:
-        total = weight = weight * (t / k)
-        for j in range(k + 1, len(counts) + 1):
-            lam = prefix[counts[j - 1]]
-            if lam == 0.0:
-                break
-            weight *= t * lam / j
-            total += weight
-    return hamiltonian.terms[count_k].alpha * total
+    prefix = hamiltonian.prefix
+    weights, lam = _extend_weights([1.0], prefix, counts, t), prefix[count_k]
+    if k > len(weights):
+        return 0.0  # an empty order lies before k
+    if k == len(weights):  # the first empty order: Lambda_k counted as 1 revives the orders after it
+        weights.append(weights[-1] * (t / k))
+        _extend_weights(weights, prefix, counts, t)
+        lam = 1.0
+    return hamiltonian.terms[count_k].alpha * (_sum_in_order(weights[:k - 1:-1]) / lam)  # w_K + ... + w_k
 
 
 def solve_t_root(
@@ -401,7 +378,8 @@ def greedy_plan(
     The steps are those of :func:`_greedy`, O(K) each for ``K`` populated
     orders, and equal those of calling :func:`insertion_gain` for every order.
     Each recorded gain is :func:`insertion_gain` of the step's order on the
-    vector before it, read by replaying the chosen orders from the empty vector.
+    vector before it, read by replaying the chosen orders from the empty vector;
+    it equals, bit for bit, the gain the step's scan chose by.
     The trace holds the orders, gains and bounds as columns; ``steps`` builds
     the :class:`PlanStep` records only when read.
 
@@ -424,13 +402,10 @@ def _greedy(
     """The greedy loop of every command: each step's order, the bound after each step and the final levels.
 
     The order weights are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.
-    One :func:`_scan` per step (tables built once per call) gives the bound, the best estimate and
-    the runner-up.  The best estimate's order is taken, unless the runner-up lies within
-    ``_GAIN_SCREEN_RTOL`` (relative) or ``_GAIN_SCREEN_ATOL`` of the best, or the best within the
-    latter of 0: then :func:`insertion_gain` confirms every order from ``lowest`` to ``K+1`` that is
-    not full, and the largest confirmed gain wins.  A lone order above the screen has a confirmed
-    gain above 0 that no other order's reaches, so the steps are those of confirming every order at
-    every step.
+    One :func:`_scan` per step (tables built once per call) gives the bound, the largest gain and
+    its lowest order, which is taken.  Its gains are :func:`insertion_gain`'s, bit for bit, so the
+    steps are those of calling :func:`insertion_gain` for every open order at every step.  Raises
+    :class:`ConvergenceError` when no gain is above 0.0.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -441,7 +416,6 @@ def _greedy(
 
     t, num_terms = t_infinity(hamiltonian), hamiltonian.num_terms
     cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
-    screen_atol = max(1.0, hamiltonian.terms[0].alpha) * _GAIN_SCREEN_ATOL
     tables = _order_tables(t, len(_PHI) - 1)  # K stays below 200
 
     counts: list[int] = []
@@ -453,7 +427,7 @@ def _greedy(
 
     for cost in range(cost_cap + 1):
         # the step's scan also gives the bound after the previous step
-        epsilon, best, best_k, runner_up = _scan(hamiltonian, counts, weights, lowest, tables)
+        epsilon, best, best_k = _scan(hamiltonian, counts, weights, lowest, tables)
         if cost:
             epsilons.append(epsilon)
         if epsilon <= stop_epsilon:
@@ -463,14 +437,8 @@ def _greedy(
                 raise ConvergenceError(f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}")
             break
 
-        if runner_up >= best - (best * _GAIN_SCREEN_RTOL + screen_atol) or best <= screen_atol:
-            current = TruncationVector(levels=tuple(counts))
-            best_k, best_gain = 0, 0.0
-            for k in range(lowest, len(weights) + 1):
-                if current.level(k) < num_terms and (gain := insertion_gain(hamiltonian, current, k, t)) > best_gain:
-                    best_k, best_gain = k, gain
-            if best_k == 0:
-                raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
+        if best <= 0.0:
+            raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
 
         if best_k > len(counts):
             counts.append(0)

@@ -437,7 +437,7 @@ PINNED_PLAN_LARGE_SMALL = {
     "compare.json": ["compare", "--n-max", "3"],
 }
 # outputs too large to keep under tests/data: 1,819 recorded steps, 223 KB
-PINNED_SHA256 = {"plan_target.json": "99295e7168f82ee14beca39fa28b0896c8734536a0f4ea8b3a02855b9fe23871"}
+PINNED_SHA256 = {"plan_target.json": "8a6579f23edc8fdd1ed0c1dc87cac0e51c471b27ab17d56c240ed0029a900799"}
 
 
 @pytest.mark.parametrize("filename", PINNED_PLAN_LARGE_SMALL)
@@ -540,6 +540,14 @@ def test_unwritable_out_is_an_input_error(ham_file, tmp_path, capsys, where):
     ):
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, which refuses every write")
+def test_a_full_device_is_an_input_error(capsys):
+    # the file opens, but writing to it fails; a generator checks no extension, so its output reaches the write
+    argv = ["gen-logspread", "--terms", "4", "--decades", "1", "--qubits", "2", "--seed", "1", "--out", "/dev/full"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize(

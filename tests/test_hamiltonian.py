@@ -108,6 +108,13 @@ def test_weights_whose_sum_overflows_are_rejected():
     with pytest.raises(TermListError, match="weights sum to inf"):
         SortedHamiltonian.from_terms([HamiltonianTerm(1.5e308, big), HamiltonianTerm(1.5e308, PauliString("Z"))])
     assert parse_hamiltonian("1e308 XX\n7e307 YY").lambda_total == 1.7e308
+    # a merged sum that overflows is named before its phase is folded, which would divide inf by inf
+    merged = r"^Pauli string X: the coefficients sum to inf, past the largest float$"
+    for text in ("1e308 X\n1e308 X", "-1e308i X\n-1e308i X"):
+        with pytest.raises(TermListError, match=merged):
+            parse_hamiltonian(text)
+    with pytest.raises(TermListError, match=merged):
+        SortedHamiltonian.from_terms([HamiltonianTerm(1.5e308, big), HamiltonianTerm(1.5e308, big)])
 
 
 def test_tiny_terms_dropped_with_warning():

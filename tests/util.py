@@ -370,11 +370,13 @@ def plan_json_oracle(trace) -> str:
 
 
 def insertion_gain_oracle(hamiltonian: SortedHamiltonian, levels, k: int, t: float) -> float:
-    """The insertion gain as a list of order weights and a left-to-right sum of its slice from order ``k`` on.
+    """The insertion gain from a list of order weights and a sum of its slice from the top order down to ``k``.
 
     ``w_j = w_{j-1} * (t * Lambda_j / j)`` from ``w_0 = 1.0`` up to the first
-    empty order, with ``Lambda_k`` counted as 1 and the prefix sums taken
-    left to right from 0.0, the same float operations as the package's in
+    empty order, the prefix sums taken left to right from 0.0.  A live order
+    ``k`` gains ``alpha * (w_K + ... + w_k) / Lambda_k``; the first empty order
+    counts ``Lambda_k`` as 1, which revives the orders after it, and any later
+    order gains 0.0.  These are the same float operations as the package's in
     the same order, so the result must agree bit for bit.
     """
     alphas = [term.alpha for term in hamiltonian.terms]
@@ -382,16 +384,25 @@ def insertion_gain_oracle(hamiltonian: SortedHamiltonian, levels, k: int, t: flo
     for alpha in alphas:
         prefix.append(prefix[-1] + alpha)
     counts = list(levels) + [0] * max(0, k - len(levels))
-    weights = [1.0]
-    for j in range(1, len(counts) + 1):
-        lam = 1.0 if j == k else prefix[counts[j - 1]]
-        if lam == 0.0:
-            break
-        weights.append(weights[-1] * (t * lam / j))
+
+    def weights_with(revived: int) -> list[float]:
+        weights = [1.0]
+        for j in range(1, len(counts) + 1):
+            lam = 1.0 if j == revived else prefix[counts[j - 1]]
+            if lam == 0.0:
+                break
+            weights.append(weights[-1] * (t * lam / j))
+        return weights
+
+    weights, lam = weights_with(0), prefix[counts[k - 1]]
+    if k > len(weights):
+        return 0.0
+    if k == len(weights):
+        weights, lam = weights_with(k), 1.0
     total = 0.0
-    for weight in weights[k:]:
+    for weight in reversed(weights[k:]):
         total += weight
-    return alphas[counts[k - 1]] * total
+    return alphas[counts[k - 1]] * (total / lam)
 
 
 def logspread_numpy_reference(num_terms: int, decades: float, qubit_count: int, seed: int) -> SortedHamiltonian:
