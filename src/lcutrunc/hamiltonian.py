@@ -25,6 +25,7 @@ is dropped, and each kept sum's phase is folded once.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -108,7 +109,7 @@ class SortedHamiltonian:
 
         A sum of 0, or a term or sum below ``DROP_THRESHOLD`` times the largest input weight, is
         dropped.  Raises :class:`TermListError` naming the string for a sum neither real nor
-        pure-imaginary or past the largest float, and for weights whose sum overflows.
+        pure-imaginary or past the largest float, and for weights that sum past it or are all subnormal.
         """
         return _build([(term.coefficient, term.op.axes, 0) for term in terms], label)
 
@@ -163,6 +164,8 @@ def _build(rows: list[tuple[complex, str, int]], label: str) -> SortedHamiltonia
     terms.sort(key=lambda term: -term.alpha)
     if not terms:
         raise TermListError("no usable terms found in input")
+    if terms[0].alpha < sys.float_info.min:  # else t_inf = ln 2 / Lambda and 1 / Lambda_1 overflow
+        raise TermListError(f"the largest weight {terms[0].alpha!r} is subnormal, below {sys.float_info.min!r}")
     qubit_count = len(terms[0].op)
     if any(len(t.op) != qubit_count for t in terms):
         raise TermListError("all Pauli strings must have equal length")

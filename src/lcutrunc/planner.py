@@ -31,15 +31,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError
 from .hamiltonian import SortedHamiltonian
-
-# Cost cap for target-epsilon plans, as a multiple of the term count; double
-# precision cannot resolve bounds below ~1e-16 anyway.
-DEFAULT_COST_CAP_FACTOR = 64
 
 # phi_m(ln 2) = sum_{p>=0} ln(2)^p m!/(m+p)! for m = 0..200, by the recurrence
 # phi_{m-1} = 1 + ln(2) phi_m / m down from phi_240 = 1, which divides the start's
@@ -54,15 +50,18 @@ class TruncationVector:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        if self.levels and min(self.levels) < 0:
-            raise ValueError(f"level counts must be nonnegative, got {list(self.levels)}")
+        levels = self.levels
+        if levels and (min(levels) < 0 or not levels[-1]):  # one branch for both rare cases
+            if min(levels) < 0:
+                raise ValueError(f"level counts must be nonnegative, got {list(levels)}")
+            values = list(levels)
+            while values and not values[-1]:
+                values.pop()
+            object.__setattr__(self, "levels", tuple(values))
 
     @classmethod
     def from_levels(cls, levels: Iterable[int]) -> "TruncationVector":
-        values = [int(v) for v in levels]
-        while values and values[-1] == 0:
-            values.pop()
-        return cls(levels=tuple(values))
+        return cls(levels=tuple(int(v) for v in levels))
 
     @property
     def kappa(self) -> int:
@@ -383,8 +382,8 @@ def greedy_plan(
     The trace holds the orders, gains and bounds as columns; ``steps`` builds
     the :class:`PlanStep` records only when read.
 
-    Raises :class:`ConvergenceError` if ``target_epsilon`` is still
-    unreached at the hard cost cap ``DEFAULT_COST_CAP_FACTOR * num_terms``.
+    Raises :class:`ConvergenceError` when no insertion lowers the bound in
+    double precision before the run stops.
     """
     chosen, epsilons, final = _greedy(hamiltonian, budget, target_epsilon)
     t, counts, gains = t_infinity(hamiltonian), [], []
@@ -404,8 +403,9 @@ def _greedy(
     The order weights are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.
     One :func:`_scan` per step (tables built once per call) gives the bound, the largest gain and
     its lowest order, which is taken.  Its gains are :func:`insertion_gain`'s, bit for bit, so the
-    steps are those of calling :func:`insertion_gain` for every open order at every step.  Raises
-    :class:`ConvergenceError` when no gain is above 0.0.
+    steps are those of calling :func:`insertion_gain` for every open order at every step.  Stops at
+    ``cost == budget`` or ``epsilon <= target_epsilon``; raises :class:`ConvergenceError` first when no
+    gain is above 0.0, which ends every run: at ``t_inf`` every weight from order 166 on is 0.0.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -415,7 +415,6 @@ def _greedy(
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
 
     t, num_terms = t_infinity(hamiltonian), hamiltonian.num_terms
-    cost_cap = budget if budget is not None else DEFAULT_COST_CAP_FACTOR * num_terms
     tables = _order_tables(t, len(_PHI) - 1)  # K stays below 200
 
     counts: list[int] = []
@@ -425,18 +424,13 @@ def _greedy(
     chosen: list[int] = []
     epsilons: list[float] = []
 
-    for cost in range(cost_cap + 1):
+    for cost in count():
         # the step's scan also gives the bound after the previous step
         epsilon, best, best_k = _scan(hamiltonian, counts, weights, lowest, tables)
         if cost:
             epsilons.append(epsilon)
-        if epsilon <= stop_epsilon:
+        if epsilon <= stop_epsilon or cost == budget:
             break
-        if cost == cost_cap:
-            if budget is None:
-                raise ConvergenceError(f"target epsilon {target_epsilon} not reached at cost cap {cost_cap}")
-            break
-
         if best <= 0.0:
             raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
 

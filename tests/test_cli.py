@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 import lcutrunc
 from lcutrunc.cli import main
 from lcutrunc.hamiltonian import SortedHamiltonian, format_term_list, logspread_hamiltonian, parse_hamiltonian
-from lcutrunc.planner import greedy_plan
+from lcutrunc.planner import epsilon_bound, greedy_plan
 
 from conftest import DATA_DIR
 from util import omitted_mass_oracle
@@ -349,14 +350,73 @@ def test_malformed_file_is_input_error(tmp_path):
     assert main(["bound", "--hamiltonian", str(path), "--order", "1"]) == 2
 
 
-def test_unreachable_target_is_convergence_error(ham_file, monkeypatch):
-    import lcutrunc.planner as planner_module
-
-    monkeypatch.setattr(planner_module, "DEFAULT_COST_CAP_FACTOR", 2)
-    out = ham_file.parent / "plan.json"
-    assert main(["plan", "--hamiltonian", str(ham_file), "--target-epsilon", "1e-12", "--out", str(out)]) == 4
+def test_unreachable_target_is_convergence_error(tmp_path, capsys):
+    # 5e-324 lies below what double precision resolves for this input: no gain is above 0.0 at cost 3287
+    path = tmp_path / "ham.txt"
+    path.write_text(format_term_list(logspread_hamiltonian(20, 3, 6, seed=1)))
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--hamiltonian", str(path), "--target-epsilon", "5e-324", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: no insertion improves the bound in double precision; stopped at cost 3287\n"
     # the plan runs before the output file opens, so a failed plan leaves none
     assert not out.exists()
+
+
+def test_the_readme_input_plans_to_a_target_past_64_steps_a_term(tmp_path):
+    # the README's H.txt, 32 terms, reaches 1e-300 at cost 4946
+    path, out = tmp_path / "H.txt", tmp_path / "deep.json"
+    argv = ["gen-logspread", "--terms", "32", "--decades", "3", "--qubits", "3", "--seed", "1", "--out", str(path)]
+    assert main(argv) == 0
+    assert main(["plan", "--hamiltonian", str(path), "--target-epsilon", "1e-300", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    epsilons = [step["epsilon"] for step in payload["steps"]]
+    assert len(epsilons) == 4946
+    assert epsilons[-1] <= 1e-300 < epsilons[-2]
+    assert epsilons[-1] == epsilon_bound(parse_hamiltonian(path.read_text()), payload["final_levels"])
+
+
+_SUBNORMAL_INPUTS = {"1e-320": "1e-320 Z\n", "3e-309": "3e-309 Z\n1e-309 X\n"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--hamiltonian", "{}", "--order", "2"],
+        ["plan", "--hamiltonian", "{}", "--budget", "3"],
+        ["plan", "--hamiltonian", "{}", "--target-epsilon", "0.1"],
+        ["compare", "--hamiltonian", "{}", "--n-max", "2"],
+        ["simulate", "--hamiltonian", "{}", "--order", "1"],
+        ["resources", "--hamiltonian", "{}", "--order", "1"],
+        ["gen-random", "--template", "{}", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0] + argv[3],
+)
+@pytest.mark.parametrize("weight", _SUBNORMAL_INPUTS)
+def test_a_subnormal_largest_weight_exits_2_with_one_error_line(tmp_path, capsys, argv, weight):
+    # t_inf = ln 2 / Lambda would overflow and every command print inf or nan
+    path = tmp_path / "tiny.txt"
+    path.write_text(_SUBNORMAL_INPUTS[weight])
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the largest weight {weight} is subnormal, below 2.2250738585072014e-308\n"
+
+
+def test_gen_random_rejects_a_subnormal_mu(ham_file, tmp_path, capsys):
+    out = tmp_path / "random.txt"
+    argv = ["gen-random", "--template", str(ham_file), "--mu", "1e-320", "--sigma", "0", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: the largest weight 1e-320 is subnormal, below 2.2250738585072014e-308\n"
+    assert not out.exists()
+
+
+def test_the_smallest_normal_weight_prints_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "small.txt"
+    path.write_text("2.2250738585072014e-308 Z\n")
+    assert main(["bound", "--hamiltonian", str(path), "--order", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["t_root"] > 0.0
+    assert all(math.isfinite(value) for value in payload.values() if isinstance(value, float))
 
 
 def test_bad_levels_string(ham_file):

@@ -1,5 +1,6 @@
 """Parsing, normalization, sorting, and generation of term-list Hamiltonians."""
 
+import sys
 import warnings
 from itertools import islice
 
@@ -115,6 +116,19 @@ def test_weights_whose_sum_overflows_are_rejected():
             parse_hamiltonian(text)
     with pytest.raises(TermListError, match=merged):
         SortedHamiltonian.from_terms([HamiltonianTerm(1.5e308, big), HamiltonianTerm(1.5e308, big)])
+
+
+def test_a_subnormal_largest_weight_is_rejected():
+    # below the smallest normal float, t_inf = ln 2 / Lambda and 1 / Lambda_1 overflow
+    message = r"^the largest weight 1e-320 is subnormal, below 2\.2250738585072014e-308$"
+    with pytest.raises(TermListError, match=message):
+        parse_hamiltonian("1e-320 Z")
+    with pytest.raises(TermListError, match=message):
+        SortedHamiltonian.from_terms([HamiltonianTerm(1e-320, PauliString("Z"))])
+    with pytest.raises(TermListError, match="largest weight 3e-309 is subnormal"):
+        parse_hamiltonian("3e-309 Z\n1e-309 X")
+    assert parse_hamiltonian(f"{sys.float_info.min!r} Z").lambda_total == sys.float_info.min
+    assert parse_hamiltonian("1e-300 Z\n1e-301 X").num_terms == 2
 
 
 def test_tiny_terms_dropped_with_warning():

@@ -8,6 +8,7 @@ below.
 import functools
 import math
 import operator
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcutrunc import planner
+from lcutrunc.circuitmodel import estimate_resources, layout_for, verify_identities
 from lcutrunc.densesim import truncated_series_operator
 from lcutrunc.errors import ConvergenceError
 from lcutrunc.hamiltonian import (
@@ -36,6 +38,7 @@ from lcutrunc.planner import (
     t_infinity,
 )
 
+from conftest import DATA_DIR
 from util import (
     insertion_gain_oracle,
     levels_at_cost,
@@ -90,6 +93,19 @@ def test_truncation_vector_normalization():
     assert TruncationVector.from_levels([2, 0, 1]).kappa == 2
     with pytest.raises(ValueError):
         TruncationVector.from_levels([-1])
+
+
+def test_truncation_vector_trims_trailing_zeros_however_built(two_term):
+    vec = TruncationVector(levels=(1, 0))
+    assert vec == TruncationVector.from_levels((1, 0)) == TruncationVector((1,))
+    assert vec.levels == (1,) and len(vec) == 1
+    assert TruncationVector((0, 0)).levels == ()
+    with pytest.raises(ValueError, match="nonnegative"):
+        TruncationVector((1, -1, 0))
+    # the circuit model takes it as it takes the plain tuple
+    assert layout_for(vec) == layout_for((1, 0))
+    assert estimate_resources(vec) == estimate_resources((1, 0))
+    assert verify_identities(two_term, vec).to_csv() == verify_identities(two_term, (1, 0)).to_csv()
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -184,13 +200,19 @@ def test_epsilon_bound_keeps_its_digits_where_two_minus_s_cancels():
 
 
 @st.composite
-def _weights_and_levels(draw):
-    """Up to 30 distinct strings with log-uniform weights over up to 10 decades, and a vector."""
+def _log_uniform_terms(draw, max_terms=30):
+    """Term-list text: up to ``max_terms`` distinct strings with log-uniform weights over up to 10 decades."""
     decades = draw(st.floats(0.0, 10.0))
-    weights = draw(st.lists(st.floats(0.0, decades).map(lambda e: 10.0**-e), min_size=1, max_size=30))
+    weights = draw(st.lists(st.floats(0.0, decades).map(lambda e: 10.0**-e), min_size=1, max_size=max_terms))
     axes = [f"{i:05b}".replace("0", "Z").replace("1", "X") for i in range(len(weights))]
-    text = "".join(f"{w!r} {a}\n" for w, a in zip(weights, axes))
-    levels = draw(st.lists(st.integers(1, len(weights)), max_size=40))
+    return "".join(f"{w!r} {a}\n" for w, a in zip(weights, axes))
+
+
+@st.composite
+def _weights_and_levels(draw):
+    """:func:`_log_uniform_terms` and a vector."""
+    text = draw(_log_uniform_terms())
+    levels = draw(st.lists(st.integers(1, text.count("\n")), max_size=40))
     gap = draw(st.integers(0, 40))
     if gap < len(levels):
         levels[gap] = 0
@@ -403,10 +425,45 @@ def test_greedy_target_epsilon_stops_at_threshold(two_term):
     assert trace.steps[-2].epsilon_after > 0.1
 
 
-def test_greedy_target_epsilon_cap_error(two_term, monkeypatch):
-    monkeypatch.setattr(planner, "DEFAULT_COST_CAP_FACTOR", 2)
-    with pytest.raises(ConvergenceError, match="cost cap"):
-        greedy_plan(two_term, target_epsilon=1e-9)
+def test_greedy_target_epsilon_cap_error():
+    # a target below what double precision resolves: the run ends where no gain is above 0.0
+    ham = logspread_hamiltonian(20, 3, 6, seed=1)
+    message = r"^no insertion improves the bound in double precision; stopped at cost 3287$"
+    with pytest.raises(ConvergenceError, match=message):
+        greedy_plan(ham, target_epsilon=5e-324)
+
+
+@pytest.mark.parametrize(
+    "text, steps", [("1.0 Z", 155), ("1.0 ZI\n0.1 XX", 310), ("h2_sto3g", 2324)], ids=["single-z", "two-term", "h2"]
+)
+def test_targets_past_64_steps_a_term_plan(text, steps):
+    # the bound sums nonnegative terms, so it resolves targets far below 1e-16
+    ham = parse_hamiltonian((DATA_DIR / "h2_sto3g.txt").read_text() if text == "h2_sto3g" else text)
+    trace = greedy_plan(ham, target_epsilon=1e-300)
+    assert len(trace.orders) == steps > 64 * ham.num_terms
+    assert trace.epsilons[-1] <= 1e-300 < trace.epsilons[-2]
+    assert trace.epsilons[-1] == epsilon_bound(ham, trace.final)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_log_uniform_terms(max_terms=5))
+# no gain survives at cost 817, where the bound still exceeds 5e-324
+@example(
+    "1.0 ZZZZZ\n2.56856513197784e-07 ZZZZX\n0.01827011033348268 ZZZXZ\n"
+    "2.1288537238811962e-07 ZZZXX\n0.010594448961810714 ZZXZZ\n"
+)
+def test_the_smallest_target_is_met_or_ends_where_no_gain_survives(text):
+    # with no cost cap, the weights that reach 0.0 from order 166 on end every run
+    ham = parse_hamiltonian(text)
+    try:
+        chosen, epsilons, _ = planner._greedy(ham, None, 5e-324)
+    except ConvergenceError as exc:
+        stopped = re.fullmatch(r"no insertion improves the bound in double precision; stopped at cost (\d+)", str(exc))
+        cost = int(stopped[1])
+    else:
+        assert epsilons[-1] <= 5e-324
+        cost = len(chosen)
+    assert cost <= 166 * ham.num_terms
 
 
 def test_greedy_argument_validation(two_term):
