@@ -120,21 +120,22 @@ def _plan(args, hamiltonian: SortedHamiltonian, fmt: str) -> Iterator[str]:
 
 
 def _bound(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
-    levels = _resolve_levels(args, hamiltonian)
+    """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, written directly as
+    :meth:`~lcutrunc.planner.PlanTrace.to_json` writes its own: the stdlib encoder runs
+    in pure Python under ``indent``, slow over a vector of a million orders."""
+    vec, num = _resolve_levels(args, hamiltonian), float.__repr__
     t_infinity = planner.t_infinity(hamiltonian)
-    payload = {
-        "hamiltonian": hamiltonian.label,
-        "levels": list(levels.levels),
-        "cost": levels.cost,
-        "kappa": levels.kappa,
-        "lambda_total": hamiltonian.lambda_total,
-        "t_infinity": t_infinity,
-        "s_at_t_infinity": planner.s_value(hamiltonian, levels, t_infinity),
-        "epsilon": planner.epsilon_bound(hamiltonian, levels),
-        # an empty first order leaves s(t) = 1, which never reaches 2
-        "t_root": planner.solve_t_root(hamiltonian, levels) if levels.level(1) else None,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    s_value = planner.s_value(hamiltonian, vec, t_infinity)
+    epsilon = planner.epsilon_bound(hamiltonian, vec)
+    # an empty first order leaves s(t) = 1, which never reaches 2
+    t_root = num(planner.solve_t_root(hamiltonian, vec)) if vec.level(1) else "null"
+    items = ",\n".join(f"    {v}" for v in vec.levels)
+    return (
+        f'{{\n  "hamiltonian": {json.dumps(hamiltonian.label)},\n  "levels": {planner._json_array(items)},\n'
+        f'  "cost": {vec.cost},\n  "kappa": {vec.kappa},\n  "lambda_total": {num(hamiltonian.lambda_total)},\n'
+        f'  "t_infinity": {num(t_infinity)},\n  "s_at_t_infinity": {num(s_value)},\n'
+        f'  "epsilon": {num(epsilon)},\n  "t_root": {t_root}\n}}\n'
+    )
 
 
 def _simulate(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
@@ -170,15 +171,52 @@ def _gen_logspread(args, source: None, fmt: None) -> str:
     return format_term_list(logspread_hamiltonian(args.terms, args.decades, args.qubits, args.seed))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, runner, --out formats, input option, the levels options, further arguments)
+_COMMANDS = {
+    "plan": ("greedy truncation plan", _plan, ("json", "csv"), "hamiltonian", False, [
+        ("--budget", {"type": int}),
+        ("--target-epsilon", {"type": float}),
+    ]),
+    "bound": ("analytic error bound for a truncation", _bound, ("json",), "hamiltonian", True, []),
+    "simulate": ("measure exact errors densely", _simulate, ("json", "csv"), "hamiltonian", True, [
+        ("--r-max", {"type": int, "default": 1, "help": "measure up to this many repeated steps"}),
+    ]),
+    "compare": ("full-order vs greedy at equal cost", _compare, ("csv", "json"), "hamiltonian", False, [
+        ("--n-max", {"type": int, "required": True}),
+        ("--dense", {"action": "store_true", "help": "also measure exact errors"}),
+    ]),
+    "resources": ("ancilla and gate-count estimates", _resources, ("json",), "hamiltonian", True, []),
+    "gen-random": ("template with redrawn random weights", _gen_random, (), "template", False, [
+        ("--mu", {"type": float, "default": 1.0}),
+        ("--sigma", {"type": float, "default": 0.1}),
+        ("--seed", {"type": int, "required": True}),
+    ]),
+    "gen-logspread": ("synthetic magnitude-spread Hamiltonian", _gen_logspread, (), None, False, [
+        ("--terms", {"type": int, "required": True}),
+        ("--decades", {"type": float, "required": True}),
+        ("--qubits", {"type": int, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    Each subcommand takes ``--<source>`` (if any), the levels options (if any), ``--out``
+    and its further arguments, for :func:`_run`.  The one-command parser lists every
+    name in its usage line, as the full parser does.
+    """
     parser = argparse.ArgumentParser(
         prog="lcutrunc",
         description="Plan, bound, and verify by-weight Taylor truncations for LCU simulation.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, run, formats=(), source="hamiltonian", levels=False):
-        """A subcommand with ``--<source>`` (if given), the levels options and ``--out``, for :func:`_run`."""
+    single = command in _COMMANDS
+    # a metavar would also rename the argument in the full parser's "required" and "invalid choice" errors
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if single else {}
+    commands = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in [command] if single else _COMMANDS:
+        help, run, formats, source, levels, arguments = _COMMANDS[name]
         sub = commands.add_parser(name, help=help)
         if source:
             sub.add_argument(f"--{source}", required=True)
@@ -187,41 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--order", type=int, help="full expansion to this order")
             sub.add_argument("--budget", type=int, help="greedy plan with this gate budget")
         sub.add_argument("--out")
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
         sub.set_defaults(run=run, formats=formats, source=source)
-        return sub
-
-    plan = command("plan", "greedy truncation plan", _plan, ("json", "csv"))
-    plan.add_argument("--budget", type=int)
-    plan.add_argument("--target-epsilon", type=float)
-
-    command("bound", "analytic error bound for a truncation", _bound, ("json",), levels=True)
-
-    simulate = command("simulate", "measure exact errors densely", _simulate, ("json", "csv"), levels=True)
-    simulate.add_argument("--r-max", type=int, default=1, help="measure up to this many repeated steps")
-
-    compare = command("compare", "full-order vs greedy at equal cost", _compare, ("csv", "json"))
-    compare.add_argument("--n-max", type=int, required=True)
-    compare.add_argument("--dense", action="store_true", help="also measure exact errors")
-
-    command("resources", "ancilla and gate-count estimates", _resources, ("json",), levels=True)
-
-    gen_random = command("gen-random", "template with redrawn random weights", _gen_random, source="template")
-    gen_random.add_argument("--mu", type=float, default=1.0)
-    gen_random.add_argument("--sigma", type=float, default=0.1)
-    gen_random.add_argument("--seed", type=int, required=True)
-
-    gen_logspread = command("gen-logspread", "synthetic magnitude-spread Hamiltonian", _gen_logspread, source=None)
-    gen_logspread.add_argument("--terms", type=int, required=True)
-    gen_logspread.add_argument("--decades", type=float, required=True)
-    gen_logspread.add_argument("--qubits", type=int, required=True)
-    gen_logspread.add_argument("--seed", type=int, required=True)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; library warnings print once each as ``warning:`` lines, before any ``error:`` line."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     error = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -15,14 +15,16 @@ With ``Lambda_k`` counted as 1 their sum from order ``k`` on is
 
 The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
-the largest decrease of the error bound) per unit of gate cost.  It keeps
-the order weights across steps and recomputes only those from the bumped
-order on.  Each step makes one reverse scan over them, down to the lowest
-order that is not full, which gives the bound and every open order's gain
-with the float operations of :func:`insertion_gain`, so the order taken has
-the largest :func:`insertion_gain`, bit for bit, the lowest such order at a
-tie.  Every command runs this one loop; :func:`greedy_plan` then reads the
-gains it prints by replaying the chosen orders from the empty vector.
+the largest decrease of the error bound) per unit of gate cost.  One flat
+loop, :func:`_greedy_loop`, runs it over tables built once per run.  It keeps
+the order weights across steps and refills only those from the bumped order
+on; one reverse pass over them, down to the lowest order that is not full,
+gives the bound and every open order's gain with the float operations of
+:func:`insertion_gain`, so the order taken has the largest
+:func:`insertion_gain`, bit for bit, the lowest such order at a tie.  Every
+command runs this one loop, and :func:`epsilon_bound` runs it for zero steps
+from its vector; :func:`greedy_plan` then reads the gains it prints by
+replaying the chosen orders from the empty vector.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .hamiltonian import SortedHamiltonian
 # phi_{m-1} = 1 + ln(2) phi_m / m down from phi_240 = 1, which divides the start's
 # error by m at each step.  Weights w_m <= ln(2)^m / m! are 0.0 long before order 200.
 _PHI = tuple(accumulate(range(240, 0, -1), lambda phi, m: 1 + math.log(2) * phi / m, initial=1.0))[::-1][:201]
+_LN2_OVER = (0.0, *(math.log(2.0) / m for m in range(1, len(_PHI))))  # ln(2) / m, entry 0 unused
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class TruncationVector:
     @property
     def kappa(self) -> int:
         """Number of orders with at least one retained term."""
-        return sum(1 for v in self.levels if v > 0)
+        return len(self.levels) - self.levels.count(0)
 
     @property
     def cost(self) -> int:
@@ -134,8 +137,9 @@ def order_weights(
     """Order weights ``[w_0, ..., w_K]``, each ``w_k = w_{k-1} * (t * Lambda_k / k)``.
 
     ``K`` is the last order before the first empty one.  Past order 199, the
-    last one :func:`_scan` reads, the list also ends at the first weight of
-    0.0: every later weight is 0.0 too, so ``s(t)`` and the bound keep their bits.
+    last weight :func:`_greedy_loop` reads at ``t_inf``, the list also ends at the
+    first weight of 0.0: every later weight is 0.0 too, so ``s(t)`` and the bound
+    keep their bits.
     """
     return _extend_weights([1.0], hamiltonian.prefix, checked_levels(hamiltonian, levels).levels, t)
 
@@ -172,49 +176,6 @@ def s_value(
     return _sum_in_order(order_weights(hamiltonian, levels, t))
 
 
-def _order_tables(t: float, orders: int) -> tuple[list[float], list[float]]:
-    """``t / m`` and ``ln 2 / m`` for the orders ``m = 1 .. orders``, entry 0 unused."""
-    ln2, stop = math.log(2.0), orders + 1
-    return [0.0] + [t / m for m in range(1, stop)], [0.0] + [ln2 / m for m in range(1, stop)]
-
-
-def _scan(
-    hamiltonian: SortedHamiltonian, counts: Sequence[int], weights: Sequence[float], lowest: int,
-    tables: tuple[list[float], list[float]],
-) -> tuple[float, float, int]:
-    """The bound, the largest gain and its lowest order.
-
-    ``w`` are the order weights of ``counts`` at ``t = t_inf`` (contiguous for
-    the gains), at most 200 of them, since every weight from order 166 on
-    is 0.0.  ``tables`` are :func:`_order_tables` at ``t_inf``, and one pass
-    runs from the top live order ``K`` down to order ``lowest``.  Every order below
-    ``lowest`` must hold all ``L`` terms: its bound term, with ``Lambda - Lambda_L = 0.0``,
-    is exactly 0.0, and it has no gain.  The bound is the omitted mass
-    ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m) phi_m(ln 2)``: term ``m``
-    holds the products whose first omitted factor lies in order ``m``; order
-    ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  The gains are
-    :func:`insertion_gain`'s, bit for bit: a nonfull order ``k <= K`` gains
-    ``alpha_{L_k+1} * S_k / Lambda_k`` with ``S_k`` the sum of ``w_K, ..., w_k`` from the
-    top down, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.  Only nonfull
-    orders from ``lowest`` to ``K+1`` are scanned; a tie goes to the lowest order.
-    """
-    terms, prefix, suffix = hamiltonian.terms, hamiltonian.prefix, hamiltonian.suffix
-    num_terms, (t_over, ln2_over) = len(terms), tables
-    top = len(weights) - 1
-    weight = weights[top]
-    epsilon = weight * ln2_over[top + 1] * _PHI[top + 1]
-    best = terms[0].alpha * (weight * t_over[top + 1])
-    best_k, tail = top + 1, 0.0
-    for m in range(top, lowest - 1, -1):
-        tail += weight
-        weight = weights[m - 1]
-        count = counts[m - 1]
-        epsilon += weight * suffix[count] * t_over[m] * _PHI[m]
-        if count < num_terms and (gain := terms[count].alpha * (tail / prefix[count])) >= best:
-            best, best_k = gain, m
-    return epsilon, best, best_k
-
-
 def epsilon_bound(
     hamiltonian: SortedHamiltonian, levels: "TruncationVector | Sequence[int]"
 ) -> float:
@@ -222,11 +183,10 @@ def epsilon_bound(
 
     A sum of nonnegative terms, 1.0 for the empty vector, so it never
     cancels: within about 2K ulps of the exact bound for ``K`` live orders,
-    mostly the rounding of ``t_inf``.
+    mostly the rounding of ``t_inf``.  :func:`_greedy_loop` run for zero steps
+    from ``levels`` computes it.
     """
-    counts, t = checked_levels(hamiltonian, levels).levels, t_infinity(hamiltonian)
-    weights = _extend_weights([1.0], hamiltonian.prefix, counts, t)
-    return _scan(hamiltonian, counts, weights, 1, _order_tables(t, len(weights)))[0]
+    return _greedy_loop(hamiltonian, checked_levels(hamiltonian, levels).levels, 0, -1.0)[2][0]
 
 
 def insertion_gain(
@@ -241,8 +201,9 @@ def insertion_gain(
     ``Lambda_k`` counted as 1: for a live order ``alpha * S_k / Lambda_k``, with
     ``S_k`` the sum of :func:`order_weights` from the top order down to ``k``.
     Adding to the first empty order revives the orders after it; an empty
-    order ahead of ``k`` makes the gain 0.  These are :func:`_scan`'s float
-    operations, so greedy's choice is the order of the largest gain, bit for bit.
+    order ahead of ``k`` makes the gain 0.  These are the float operations of
+    :func:`_greedy_loop`, so greedy's choice is the order of the largest gain, bit
+    for bit; this function is their reference, one gain at a time.
     """
     if k < 1:
         raise ValueError("order index is 1-based")
@@ -374,16 +335,17 @@ def greedy_plan(
     (ties break toward the lowest order) until the cost budget is spent or
     the error bound drops to ``target_epsilon``.  Exactly one stopping rule
     must be given.  Each step records, and stops on, :func:`epsilon_bound`.
-    The steps are those of :func:`_greedy`, O(K) each for ``K`` populated
+    The steps are those of :func:`_greedy_loop`, O(K) each for ``K`` populated
     orders, and equal those of calling :func:`insertion_gain` for every order.
     Each recorded gain is :func:`insertion_gain` of the step's order on the
     vector before it, read by replaying the chosen orders from the empty vector;
-    it equals, bit for bit, the gain the step's scan chose by.
+    it equals, bit for bit, the gain the loop chose by.
     The trace holds the orders, gains and bounds as columns; ``steps`` builds
     the :class:`PlanStep` records only when read.
 
-    Raises :class:`ConvergenceError` when no insertion lowers the bound in
-    double precision before the run stops.
+    A run also ends where no insertion lowers the bound in double precision:
+    with fewer steps than the budget where the bound is 0.0 there, and
+    with :class:`ConvergenceError` where it is not.
     """
     chosen, epsilons, final = _greedy(hamiltonian, budget, target_epsilon)
     t, counts, gains = t_infinity(hamiltonian), [], []
@@ -398,14 +360,12 @@ def greedy_plan(
 def _greedy(
     hamiltonian: SortedHamiltonian, budget: int | None, target_epsilon: float | None
 ) -> tuple[list[int], list[float], TruncationVector]:
-    """The greedy loop of every command: each step's order, the bound after each step and the final levels.
+    """The greedy run of every command: each step's order, the bound after each step and the final levels.
 
-    The order weights are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``.
-    One :func:`_scan` per step (tables built once per call) gives the bound, the largest gain and
-    its lowest order, which is taken.  Its gains are :func:`insertion_gain`'s, bit for bit, so the
-    steps are those of calling :func:`insertion_gain` for every open order at every step.  Stops at
-    ``cost == budget`` or ``epsilon <= target_epsilon``; raises :class:`ConvergenceError` first when no
-    gain is above 0.0, which ends every run: at ``t_inf`` every weight from order 166 on is 0.0.
+    Checks the stopping rule and runs :func:`_greedy_loop` from the empty vector: it
+    stops at ``cost == budget`` or ``epsilon <= target_epsilon``, and where no gain is
+    above 0.0 it stops if the bound is 0.0 and raises :class:`ConvergenceError` if not.
+    At ``t_inf`` every weight from order 166 on is 0.0, so the last rule ends every run.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -413,34 +373,83 @@ def _greedy(
         raise ValueError("budget must be at least 1")
     if target_epsilon is not None and not 0.0 < target_epsilon < 1.0:
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
-
-    t, num_terms = t_infinity(hamiltonian), hamiltonian.num_terms
-    tables = _order_tables(t, len(_PHI) - 1)  # K stays below 200
-
-    counts: list[int] = []
-    weights, prefix = [1.0], hamiltonian.prefix
-    lowest = 1  # the lowest order that is not full
     stop_epsilon = -1.0 if target_epsilon is None else target_epsilon  # a bound is never negative
+    chosen, _, epsilons, counts = _greedy_loop(hamiltonian, (), budget, stop_epsilon)
+    del epsilons[0]  # the empty vector's bound, 1.0
+    return chosen, epsilons, TruncationVector(levels=tuple(counts[:counts.index(0)]))
+
+
+def _greedy_loop(
+    hamiltonian: SortedHamiltonian, levels: Sequence[int], steps: int | None, stop_epsilon: float
+) -> tuple[list[int], list[float], list[float], list[int]]:
+    """Greedy steps from ``levels``: each step's order and gain, the bound at each cost from 0 on, the counts.
+
+    One flat loop over per-run tables at ``t = t_inf``: the term weights, ``t * Lambda_c``
+    for every count ``c`` and ``t/m`` for the orders ``m`` up to 200, beside the fixed
+    ``ln 2/m`` and ``phi_m(ln 2)``.  The order weights are kept across steps; bumping order ``b``
+    refills only ``w_b, ..., w_K``, each ``w_k = w_{k-1} * (t Lambda_k / k)`` as in
+    :func:`order_weights`, which ends them at the first empty order and past order
+    199 at the first 0.0 (at ``t_inf`` every weight from order 166 on is 0.0).
+    Then one reverse pass from the top live order ``K`` down to the lowest order
+    that is not full gives the bound and the gains.  The full orders below it add
+    exactly 0.0 to the bound (``Lambda - Lambda_L = 0.0``) and have no gain.
+
+    The bound is the omitted mass ``sum_{m=1}^{K+1} w_{m-1} (Lambda - Lambda_m) (t/m)
+    phi_m(ln 2)``: term ``m`` holds the products whose first omitted factor lies in
+    order ``m``; order ``K+1`` omits all of ``Lambda``, and ``t Lambda = ln 2``.  The
+    gains are :func:`insertion_gain`'s, bit for bit: a nonfull order ``k <= K`` gains
+    ``alpha_{L_k+1} * S_k / Lambda_k`` with ``S_k`` the sum of ``w_K, ..., w_k`` from the
+    top down, and order ``K+1`` gains ``alpha_1 * w_K * t / (K+1)``.  Each step takes
+    the largest gain, the lowest such order at a tie, so the steps are those of
+    calling :func:`insertion_gain` for every open order at every step.
+
+    Stops after ``steps`` steps (``None``: no limit), at a bound ``<= stop_epsilon``,
+    or where no gain is above 0.0 and the bound is 0.0; raises
+    :class:`ConvergenceError` where no gain is above 0.0 and the bound is not.
+    The returned counts run on past the last order with zeros.
+    """
+    alphas = [term.alpha for term in hamiltonian.terms]
+    prefix, suffix, num_terms, phi, ln2_over = hamiltonian.prefix, hamiltonian.suffix, len(alphas), _PHI, _LN2_OVER
+    t, orders = t_infinity(hamiltonian), len(_PHI)  # orders 0..200
+    t_prefix = [t * lam for lam in prefix]  # weight *= t_prefix[c] / k is weight *= t * lam / k, bit for bit
+    t_over = [0.0] + [t / m for m in range(1, orders)]
+    counts = [*levels, *[0] * orders]  # a zero past the last order ends the refill and the full-order skip
+    weights = [1.0] * orders  # w_0 = 1.0; w_1, ... are written before they are read
     chosen: list[int] = []
+    gains: list[float] = []
     epsilons: list[float] = []
+    alpha_1, bumped, lowest = alphas[0], 1, 1
 
     for cost in count():
-        # the step's scan also gives the bound after the previous step
-        epsilon, best, best_k = _scan(hamiltonian, counts, weights, lowest, tables)
-        if cost:
-            epsilons.append(epsilon)
-        if epsilon <= stop_epsilon or cost == budget:
+        k, weight = bumped, weights[bumped - 1]
+        while (c := counts[k - 1]) and (weight or k < orders - 1):
+            weight *= t_prefix[c] / k
+            weights[k] = weight
+            k += 1
+        top = k - 1  # the top live order K
+        while lowest <= top and counts[lowest - 1] == num_terms:
+            lowest += 1
+
+        epsilon = weight * ln2_over[k] * phi[k]
+        best, best_k, tail = alpha_1 * (weight * t_over[k]), k, 0.0
+        for m in range(top, lowest - 1, -1):
+            tail += weight
+            weight = weights[m - 1]
+            c = counts[m - 1]
+            epsilon += weight * suffix[c] * t_over[m] * phi[m]
+            if c < num_terms and (gain := alphas[c] * (tail / prefix[c])) >= best:
+                best, best_k = gain, m
+        epsilons.append(epsilon)
+
+        if epsilon <= stop_epsilon or cost == steps:
             break
         if best <= 0.0:
-            raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
-
-        if best_k > len(counts):
-            counts.append(0)
+            if epsilon:
+                raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
+            break  # the bound is 0.0 already
         counts[best_k - 1] += 1
-        while lowest <= len(counts) and counts[lowest - 1] == num_terms:
-            lowest += 1
         chosen.append(best_k)
-        del weights[best_k:]  # orders below best_k keep their weights
-        _extend_weights(weights, prefix, counts, t)
+        gains.append(best)
+        bumped = best_k
 
-    return chosen, epsilons, TruncationVector(levels=tuple(counts))
+    return chosen, gains, epsilons, counts

@@ -44,7 +44,8 @@ def generate_comparison_report(
 
     A single greedy run to cost ``n_max * L``, the loop behind
     :func:`~lcutrunc.planner.greedy_plan`, records the bound at each cost:
-    ``epsilon_bound`` of that prefix vector.
+    ``epsilon_bound`` of that prefix vector.  A run that stops early, at a bound of
+    0.0 that no insertion lowers, gives every later row its last vector and bound.
     ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the smallest greedy
     cost ``c`` whose bound already undercuts the full expansion's, or None
     if the trace never does.
@@ -53,7 +54,7 @@ def generate_comparison_report(
         raise ValueError("n_max must be at least 1")
     num_terms = hamiltonian.num_terms
     chosen, epsilons, _ = _greedy(hamiltonian, n_max * num_terms, None)
-    bounds = [1.0, *epsilons]  # the bound at each cost from 0 on
+    bounds = [1.0, *epsilons]  # the bound at each cost from 0 up to where the run stopped
 
     # the rows share their spectral work, and each equals a standalone measurement
     errors = _StepErrors(hamiltonian) if with_dense else None
@@ -63,7 +64,7 @@ def generate_comparison_report(
     for n in range(1, n_max + 1):
         cost = n * num_terms
         eps_full = epsilon_bound(hamiltonian, full_order_levels(hamiltonian, n))
-        eps_greedy = bounds[cost]
+        eps_greedy = bounds[min(cost, len(bounds) - 1)]
         ratio = eps_full / eps_greedy if eps_greedy > 0 else float("inf")
 
         # the bound shrinks along the trace, so the matching cost only grows

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import lcutrunc
-from lcutrunc.cli import main
+from lcutrunc.cli import build_parser, main
 from lcutrunc.hamiltonian import SortedHamiltonian, format_term_list, logspread_hamiltonian, parse_hamiltonian
 from lcutrunc.planner import epsilon_bound, greedy_plan
 
@@ -91,6 +91,73 @@ def test_bound_on_a_deep_full_order_is_pinned(ham_file, monkeypatch, order):
     monkeypatch.chdir(ham_file.parent)
     assert main(["bound", "--hamiltonian", ham_file.name, "--order", order, "--out", "bound.json"]) == 0
     assert hashlib.sha256(Path("bound.json").read_bytes()).hexdigest() == PINNED_DEEP_ORDER_SHA256[order]
+
+
+@pytest.mark.parametrize(
+    "name, levels",
+    [("ham.txt", "2,1"), ("ham.txt", "0"), ("ham.txt", "0,1"), ('we"ird\\ \u00e9.txt', "1,0,2")],
+    ids=["two-orders", "empty", "empty-first-order", "escaped-label"],
+)
+def test_bound_writes_the_bytes_of_the_stdlib_encoder(tmp_path, capsys, name, levels):
+    path = tmp_path / name
+    path.write_text(TWO_TERM)
+    assert main(["bound", "--hamiltonian", str(path), "--levels", levels]) == 0
+    ham = parse_hamiltonian(TWO_TERM, label=str(path))
+    vec = lcutrunc.TruncationVector.from_levels(int(v) for v in levels.split(","))
+    t_inf = lcutrunc.t_infinity(ham)
+    payload = {
+        "hamiltonian": str(path),
+        "levels": list(vec.levels),
+        "cost": vec.cost,
+        "kappa": sum(1 for v in vec.levels if v > 0),
+        "lambda_total": ham.lambda_total,
+        "t_infinity": t_inf,
+        "s_at_t_infinity": lcutrunc.s_value(ham, vec, t_inf),
+        "epsilon": epsilon_bound(ham, vec),
+        "t_root": lcutrunc.solve_t_root(ham, vec) if vec.level(1) else None,
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_a_budget_past_a_bound_of_zero_ends_at_that_vector(tmp_path, capsys):
+    # one term's bound reaches 0.0 at cost 165, where no insertion gains anything
+    path = tmp_path / "z.txt"
+    path.write_text("1.0 Z\n")
+    assert main(["bound", "--hamiltonian", str(path), "--budget", "200"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["levels"] == [1] * 165 and payload["cost"] == 165 and payload["epsilon"] == 0.0
+    out = tmp_path / "compare.json"
+    assert main(["compare", "--hamiltonian", str(path), "--n-max", "200", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [row["eps_greedy"] for row in rows[164:]] == [0.0] * 36
+    assert rows[163]["eps_greedy"] > 0.0
+
+
+def _parse_outcome(parser, argv, capsys):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``, or its namespace without the runner."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+    return args.pop("run").__name__, args, *capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["plan", "--help"],
+        ["gen-logspread", "--help"],
+        ["bound", "--hamiltonian", "h.txt", "--order", "2", "--colour"],
+        ["bound", "--hamiltonian", "h.txt", "--order", "x"],
+        ["resources", "--order", "2"],
+        ["compare", "--hamiltonian", "h.txt", "--n-max", "3", "--dense"],
+    ],
+    ids=["help", "plan-help", "gen-logspread-help", "unrecognized", "bad-order", "no-hamiltonian", "parses"],
+)
+def test_the_one_command_parser_reads_and_reports_as_the_full_parser(argv, capsys):
+    assert _parse_outcome(build_parser(argv[0]), argv, capsys) == _parse_outcome(build_parser(), argv, capsys)
+    assert build_parser(argv[0]).format_usage() == build_parser().format_usage()
 
 
 def test_simulate_single_step(ham_file, tmp_path):

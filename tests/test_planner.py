@@ -552,29 +552,51 @@ def test_greedy_without_gains_takes_the_steps_of_greedy_plan(name, ham, budget, 
 
 def test_greedy_stops_where_no_gain_survives_in_double_precision():
     # a single term's order weights underflow to 0.0 past order 165, so the
-    # lone open order's gain is 0.0 and no insertion improves the bound
+    # lone open order's gain is 0.0; the bound is 0.0 there, and a budget run ends with that vector
     ham = parse_hamiltonian("1.0 Z")
-    with pytest.raises(ConvergenceError, match="stopped at cost 165"):
-        greedy_plan(ham, budget=400)
-    with pytest.raises(ConvergenceError, match="stopped at cost 165"):
-        planner._greedy(ham, 400, None)
+    trace = greedy_plan(ham, budget=400)
+    assert trace.orders == tuple(range(1, 166)) and trace.final.cost == 165
+    assert trace.epsilons[-1] == 0.0 == epsilon_bound(ham, trace.final) < trace.epsilons[-2]
+    assert planner._greedy(ham, 400, None) == (list(trace.orders), list(trace.epsilons), trace.final)
+    # where the bound stays above 0.0, a budget that cannot be spent is still an error
+    message = r"^no insertion improves the bound in double precision; stopped at cost 3287$"
+    with pytest.raises(ConvergenceError, match=message):
+        greedy_plan(logspread_hamiltonian(20, 3, 6, seed=1), budget=4000)
 
 
 def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     ham = logspread_hamiltonian(12, 4.0, 4, seed=12)
     t = t_infinity(ham)
-    trace = greedy_plan(ham, budget=150)
-    for cost in range(len(trace.steps)):
-        vec = levels_at_cost(trace, cost)
-        weights = planner.order_weights(ham, vec, t)
-        tables = planner._order_tables(t, len(weights))
-        epsilon, best, best_k = planner._scan(ham, vec.levels, weights, 1, tables)
-        assert epsilon == epsilon_bound(ham, vec)
+    chosen, best_gains, epsilons, counts = planner._greedy_loop(ham, (), 150, -1.0)
+    vec = TruncationVector(levels=())
+    for cost, (best_k, best) in enumerate(zip(chosen, best_gains)):
+        assert epsilons[cost] == epsilon_bound(ham, vec)
         gains = {k: insertion_gain(ham, vec, k, t) for k in range(1, len(vec) + 2) if vec.level(k) < ham.num_terms}
-        # the scan's gain is insertion_gain of its order, bit for bit, the largest open gain at its lowest order
+        # the loop's gain is insertion_gain of its order, bit for bit, the largest open gain at its lowest order
         assert repr(best) == repr(gains[best_k])
         assert best_k == min(k for k, gain in gains.items() if gain == max(gains.values()))
-    assert max(trace.final.levels) == ham.num_terms
+        # a run started from this vector takes the same step
+        assert planner._greedy_loop(ham, vec.levels, 1, -1.0)[:2] == ([best_k], [best])
+        vec = vec.bump(best_k)
+    assert epsilons[150] == epsilon_bound(ham, vec) and counts[:len(vec)] == list(vec.levels)
+    assert max(vec.levels) == ham.num_terms
+
+
+def test_epsilon_bound_is_the_greedy_loop_run_for_zero_steps(two_term):
+    def zero_steps(levels):
+        chosen, gains, epsilons, counts = planner._greedy_loop(two_term, levels, 0, -1.0)
+        assert chosen == gains == [] and counts[:len(levels)] == list(levels)
+        assert epsilons == [epsilon_bound(two_term, levels)]
+        return epsilons[0]
+
+    text = "1.0 ZI\n0.1 XX"
+    assert zero_steps(()) == 1.0
+    # an empty order ends the live ones: (2, 0, 1) is bounded as (2,), 1 - ln 2
+    assert zero_steps((2, 0, 1)) == zero_steps((2,)) == pytest.approx(1.0 - LN2, rel=4e-15)
+    # past the 201 orders the loop holds, every weight is 0.0 and adds nothing
+    assert zero_steps((1,) * 1000) == zero_steps((1,) * 170)
+    assert abs(Decimal(zero_steps((1,) * 1000)) - omitted_mass_oracle(text, (1,) * 1000)) <= Decimal("1e-16")
+    assert zero_steps(full_order_levels(two_term, 1000).levels) == zero_steps((2,) * 166) == 0.0
 
 
 def test_greedy_confirms_about_one_gain_per_step(monkeypatch):
