@@ -1,5 +1,6 @@
 """Equal-cost comparison rows and their serialization."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -7,13 +8,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lcutrunc.densesim import single_step_error
+from lcutrunc.circuitmodel import estimate_resources, verify_identities
+from lcutrunc.densesim import multi_step_error, single_step_error
 from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian, logspread_hamiltonian
 from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan
 from lcutrunc.report import (
     ComparisonRow,
     generate_comparison_report,
     rows_to_csv,
+    rows_to_json,
     serialize_report,
 )
 
@@ -157,3 +160,67 @@ def test_validation():
     ham = uniform_hamiltonian(2)
     with pytest.raises(ValueError):
         generate_comparison_report(ham, 0)
+
+
+# The text of every result record, pinned byte for byte.  ErrorReport texts of the
+# two-term example by SHA-256: the empty vector, a gapped one off full order and a full order.
+PINNED_ERROR_REPORT_SHA256 = {
+    ("single", (), "csv"): "d8da7f2e936046fb0adb560fa4c6347ddc67a37e874b9216dc8eb606c75209e9",
+    ("single", (), "json"): "596f5b7b2e6d337ad4f4853dcf82b2bb7b9af061655c98a4ecda6dccc78ce0cc",
+    ("multi", (), "csv"): "0bf907842ae8b88d24904c5690450aa4e21ddfa2a86dc7d0bb455ffa3a6140d1",
+    ("multi", (), "json"): "8e0f5956c8a9e207cd42c7fe0d896f6781c63db0b9c27b26b8718cccf751f861",
+    ("single", (1, 0, 1), "csv"): "1c96b030d9dd1ad67a473a31fced89c4fa93559b0f883f4a2f51b18271c6d29a",
+    ("single", (1, 0, 1), "json"): "cc2562ce0afdb4dd5cec02e3a34c6ffa345d0184e080783d4c85f55e63bd2f54",
+    ("multi", (1, 0, 1), "csv"): "bc834eb574cb2010e4e183fcd8f507ce6d756413949e36f19eb1788859f8cc66",
+    ("multi", (1, 0, 1), "json"): "37547a78e7a5f47ae9b1de6cb9e57553a8b534a3cd7f8b0eb12889d66918061d",
+    ("single", (2, 2), "csv"): "f9b2b72167d50e1c4deb6adabd5e7ceaf95747b212ab84e25ed91c4e8e703d6f",
+    ("single", (2, 2), "json"): "dce3a8452f0c44b6454dc7ec78958303f2d6b0bdf44ae92fa586135faf322f62",
+    ("multi", (2, 2), "csv"): "df4077e2fc9a2692f774f28e44adaecd8d387e03933afe5f3bb561639317c408",
+    ("multi", (2, 2), "json"): "d5f8f817e3070bf961af89410a3f99fb2b7416afe0344e89c26cc7000cbe7fbd",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ERROR_REPORT_SHA256, ids=str)
+def test_error_report_text_is_pinned(two_term, case):
+    function, levels, fmt = case
+    result = single_step_error(two_term, levels) if function == "single" else multi_step_error(two_term, levels, 3)
+    text = result.to_csv() if fmt == "csv" else result.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ERROR_REPORT_SHA256[case]
+
+
+def test_error_report_csv_of_the_gapped_vector_is_pinned(two_term):
+    assert single_step_error(two_term, (1, 0, 1)).to_csv() == (
+        "levels,cost,epsilon,delta,r,r_step_error\n"
+        "1;0;1,2,0.3698661994909587,0.3570947211054588,1,0.3570947211054588\n"
+    )
+
+
+def test_identity_report_csv_is_pinned(two_term):
+    assert verify_identities(two_term, (2, 1), 0.25).to_csv() == (
+        "levels,t,walk_block_residual,amplified_block_residual,normalization_error\n"
+        "2;1,0.25,8.326785621649077e-17,3.519234075798827e-16,0.0\n"
+    )
+
+
+def test_resource_estimate_json_is_pinned():
+    assert estimate_resources((5, 3, 1)).to_json() == (
+        '{\n  "kappa": 3,\n  "c_widths": [\n    3,\n    2,\n    0\n  ],\n  "total_ancillas": 8,\n'
+        '  "reflection_ancillas": 6,\n  "t_proxy": 9,\n  "prepare_rotations": 2,\n'
+        '  "prepare_state_sizes": [\n    5,\n    3,\n    1\n  ],\n  "select_ops": 9\n}\n'
+    )
+
+
+def test_rows_with_missing_and_infinite_cells_are_pinned():
+    rows = [ComparisonRow(1, 2, 0.5, 0.0, math.inf), ComparisonRow(2, 4, 0.25, 0.125, 2.0, 0.1, 0.0, math.inf, 1.5)]
+    assert rows_to_csv(rows) == (
+        "n,cost,eps_full,eps_greedy,bound_ratio,delta_full,delta_greedy,delta_ratio,cost_saving_in_orders\n"
+        "1,2,0.5,0.0,inf,,,,\n"
+        "2,4,0.25,0.125,2.0,0.1,0.0,inf,1.5\n"
+    )
+    entries = [
+        '    "n": 1,\n    "cost": 2,\n    "eps_full": 0.5,\n    "eps_greedy": 0.0,\n    "bound_ratio": Infinity,\n'
+        '    "delta_full": null,\n    "delta_greedy": null,\n    "delta_ratio": null,\n    "cost_saving_in_orders": null',
+        '    "n": 2,\n    "cost": 4,\n    "eps_full": 0.25,\n    "eps_greedy": 0.125,\n    "bound_ratio": 2.0,\n'
+        '    "delta_full": 0.1,\n    "delta_greedy": 0.0,\n    "delta_ratio": Infinity,\n    "cost_saving_in_orders": 1.5',
+    ]
+    assert rows_to_json(rows) == "[\n  {\n" + "\n  },\n  {\n".join(entries) + "\n  }\n]\n"
