@@ -29,7 +29,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .hamiltonian import SortedHamiltonian
-from .planner import TruncationVector, as_levels, checked_levels, order_weights, s_value, t_infinity
+from .planner import (
+    TruncationVector,
+    _csv_text,
+    _field_values,
+    as_levels,
+    checked_levels,
+    order_weights,
+    s_value,
+    t_infinity,
+)
 from .densesim import (
     _check_qubits,
     _Numpy,
@@ -67,16 +76,9 @@ class ResourceEstimate:
     select_ops: int
 
     def to_json(self) -> str:
-        payload = {
-            "kappa": self.layout.kappa,
-            "c_widths": list(self.layout.c_widths),
-            "total_ancillas": self.layout.total_ancillas,
-            "reflection_ancillas": self.layout.reflection_ancillas,
-            "t_proxy": self.t_proxy,
-            "prepare_rotations": self.prepare_rotations,
-            "prepare_state_sizes": list(self.prepare_state_sizes),
-            "select_ops": self.select_ops,
-        }
+        """The layout's fields, then the estimate's own."""
+        payload = _field_values(self.layout) | _field_values(self)
+        del payload["layout"]
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -142,8 +144,6 @@ def _register_columns(hamiltonian: SortedHamiltonian, vec: TruncationVector, t: 
     with ``N`` the sum of the order weights; each index register with qubits
     holds ``sqrt(alpha_l / Lambda_k)`` for its ``L_k`` retained terms.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
     layout = layout_for(vec)
     # the order register's normalization, which must coincide with s(t)
     weights = order_weights(hamiltonian, vec, t)
@@ -273,13 +273,8 @@ class IdentityReport:
     normalization_error: float
 
     def to_csv(self) -> str:
-        header = "levels,t,walk_block_residual,amplified_block_residual,normalization_error"
-        tag = ";".join(str(v) for v in self.levels.levels)
-        row = (
-            f"{tag},{self.t!r},{self.walk_block_residual!r},"
-            f"{self.amplified_block_residual!r},{self.normalization_error!r}"
-        )
-        return header + "\n" + row + "\n"
+        values = _field_values(self)
+        return _csv_text(values, [values.values()])
 
 
 def verify_identities(

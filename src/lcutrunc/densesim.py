@@ -48,6 +48,8 @@ from .errors import CapExceeded
 from .hamiltonian import PauliString, SortedHamiltonian
 from .planner import (
     TruncationVector,
+    _csv_text,
+    _field_values,
     as_levels,
     checked_levels,
     epsilon_bound,
@@ -242,23 +244,15 @@ class ErrorReport:
     r_steps: tuple[tuple[int, float], ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "levels": list(self.levels.levels),
-            "cost": self.cost,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "r_steps": [{"r": r, "error": err} for r, err in self.r_steps],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        steps = [{"r": r, "error": err} for r, err in self.r_steps]
+        return json.dumps(_field_values(self) | {"levels": list(self.levels), "r_steps": steps}, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        header = "levels,cost,epsilon,delta,r,r_step_error"
-        tag = ";".join(str(v) for v in self.levels.levels)
-        rows = self.r_steps if self.r_steps else ((1, self.delta),)
-        lines = [header]
-        for r, err in rows:
-            lines.append(f"{tag},{self.cost},{self.epsilon!r},{self.delta!r},{r},{err!r}")
-        return "\n".join(lines) + "\n"
+        """The other fields, then ``r`` and its error: a line per r step, or one for r = 1 if ``r_steps`` is empty."""
+        values = _field_values(self)
+        del values["r_steps"]
+        steps = self.r_steps or ((1, self.delta),)
+        return _csv_text([*values, "r", "r_step_error"], ([*values.values(), *step] for step in steps))
 
 
 class _StepErrors:
@@ -366,10 +360,4 @@ def multi_step_error(
         raise ValueError("r_max must be at least 1")
     vec = as_levels(levels)
     errors = _StepErrors(hamiltonian).measure(vec, r_max)
-    return ErrorReport(
-        levels=vec,
-        cost=vec.cost,
-        epsilon=epsilon_bound(hamiltonian, vec),
-        delta=errors[0],
-        r_steps=tuple(enumerate(errors, start=1)),
-    )
+    return ErrorReport(vec, vec.cost, epsilon_bound(hamiltonian, vec), errors[0], tuple(enumerate(errors, start=1)))

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate, count
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import ConvergenceError
 from .hamiltonian import SortedHamiltonian
@@ -64,7 +66,12 @@ class TruncationVector:
 
     @classmethod
     def from_levels(cls, levels: Iterable[int]) -> "TruncationVector":
-        return cls(levels=tuple(int(v) for v in levels))
+        levels = tuple(levels)
+        try:
+            counts = tuple(map(operator.index, levels))
+        except TypeError:  # a float or a string, which int() would truncate or parse
+            raise ValueError(f"level counts must be integers, got {list(levels)}") from None
+        return cls(levels=counts)
 
     @property
     def kappa(self) -> int:
@@ -111,6 +118,8 @@ def full_order_levels(hamiltonian: SortedHamiltonian, order: int) -> TruncationV
     """All terms retained in every order up to ``order``."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > sys.maxsize:  # more levels than a tuple can index, let alone hold
+        raise MemoryError(f"{order} orders")
     return TruncationVector(levels=(hamiltonian.num_terms,) * order)
 
 
@@ -139,8 +148,10 @@ def order_weights(
     ``K`` is the last order before the first empty one.  Past order 199, the
     last weight :func:`_greedy_loop` reads at ``t_inf``, the list also ends at the
     first weight of 0.0: every later weight is 0.0 too, so ``s(t)`` and the bound
-    keep their bits.
+    keep their bits.  Raises unless ``t`` is finite and nonnegative.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     return _extend_weights([1.0], hamiltonian.prefix, checked_levels(hamiltonian, levels).levels, t)
 
 
@@ -171,8 +182,6 @@ def s_value(
     t: float,
 ) -> float:
     """Normalization constant s(t) for the given truncation vector: the sum of its order weights."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     return _sum_in_order(order_weights(hamiltonian, levels, t))
 
 
@@ -213,6 +222,8 @@ def insertion_gain(
         raise ValueError(f"order {k} already contains all {num_terms} terms")
     if t is None:
         t = t_infinity(hamiltonian)
+    elif not 0.0 <= t < math.inf:  # the rule of order_weights
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     prefix = hamiltonian.prefix
     weights, lam = _extend_weights([1.0], prefix, counts, t), prefix[count_k]
     if k > len(weights):
@@ -250,6 +261,23 @@ def solve_t_root(
         else:
             lo = mid
     return min((lo, hi), key=lambda t: abs(s(t) - 2.0))
+
+
+def _field_values(record) -> dict[str, Any]:
+    """A dataclass record's fields by name in order, unconverted (``asdict`` deep-copies them)."""
+    return {field.name: getattr(record, field.name) for field in fields(record)}
+
+
+def _csv_text(columns: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """The CSV lines of ``columns`` and ``rows``: a float cell is its ``repr``, a missing value
+    empty, a vector its levels joined by ``;``; so no cell holds a comma, quote or newline."""
+
+    def cell(value: Any) -> str:
+        if isinstance(value, TruncationVector):
+            return ";".join(map(str, value.levels))
+        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+
+    return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def _json_array(items: str) -> str:

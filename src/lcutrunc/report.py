@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .densesim import _StepErrors
 from .hamiltonian import SortedHamiltonian
-from .planner import _greedy, epsilon_bound, full_order_levels
+from .planner import _csv_text, _field_values, _greedy, epsilon_bound, full_order_levels
 
 
 @dataclass(frozen=True)
@@ -79,40 +79,16 @@ def generate_comparison_report(
             delta_greedy = errors.measure([orders[k] for k in range(1, len(orders) + 1)])[0]
             delta_ratio = delta_full / delta_greedy if delta_greedy > 0 else float("inf")
 
-        rows.append(
-            ComparisonRow(
-                n=n,
-                cost=cost,
-                eps_full=eps_full,
-                eps_greedy=eps_greedy,
-                bound_ratio=ratio,
-                delta_full=delta_full,
-                delta_greedy=delta_greedy,
-                delta_ratio=delta_ratio,
-                cost_saving_in_orders=saving,
-            )
-        )
+        rows.append(ComparisonRow(n, cost, eps_full, eps_greedy, ratio, delta_full, delta_greedy, delta_ratio, saving))
     return rows
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows: list[ComparisonRow]) -> str:
-    """One line per row; no cell (an int, a float repr, ``inf`` or empty) holds a comma, quote or newline."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(_cell(getattr(row, column)) for column in CSV_COLUMNS) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_text(CSV_COLUMNS, (_field_values(row).values() for row in rows))
 
 
 def rows_to_json(rows: list[ComparisonRow]) -> str:
-    payload = [{column: getattr(row, column) for column in CSV_COLUMNS} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([_field_values(row) for row in rows], indent=2) + "\n"
 
 
 def serialize_report(rows: list[ComparisonRow], fmt: str) -> bytes:

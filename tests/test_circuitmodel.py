@@ -18,7 +18,7 @@ from lcutrunc.circuitmodel import (
 )
 from lcutrunc.densesim import amplification_polynomial, operator_norm, truncated_series_operator
 from lcutrunc.hamiltonian import parse_hamiltonian
-from lcutrunc.planner import as_levels, order_weights, s_value, t_infinity
+from lcutrunc.planner import as_levels, insertion_gain, order_weights, s_value, t_infinity
 
 from util import (
     dense_select_oracle,
@@ -394,7 +394,10 @@ def test_select_rejects_levels_past_the_term_count(two_term):
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
 def test_circuit_model_rejects_a_bad_t(two_term, t):
-    for build in (build_prepare, verify_identities):
+    def gain(hamiltonian, levels, t):
+        return insertion_gain(hamiltonian, levels, 2, t)
+
+    for build in (build_prepare, verify_identities, order_weights, s_value, gain):
         with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
             build(two_term, (2, 1), t)
 

@@ -210,11 +210,13 @@ def test_simulate_cap_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["bound", "simulate", "resources"])
 def test_a_huge_order_exits_3_out_of_memory_with_one_error_line(ham_file, tmp_path, capsys, command):
-    # a full-order vector holds one level per order; 10**15 of them fail to allocate at once
+    # a full-order vector holds one level per order; 10**15 of them fail to allocate at once,
+    # and 10**20 is past the largest index of a tuple
     out = tmp_path / "result.json"
-    assert main([command, "--hamiltonian", str(ham_file), "--order", "1000000000000000", "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "error: out of memory; request a smaller size\n"
-    assert not out.exists()
+    for order in ("1000000000000000", "100000000000000000000"):
+        assert main([command, "--hamiltonian", str(ham_file), "--order", order, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: out of memory; request a smaller size\n"
+        assert not out.exists()
 
 
 def test_compare_bounds_only(ham_file, tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lcutrunc import planner
 from lcutrunc.circuitmodel import estimate_resources, layout_for, verify_identities
-from lcutrunc.densesim import truncated_series_operator
+from lcutrunc.densesim import multi_step_error, truncated_series_operator
 from lcutrunc.errors import ConvergenceError
 from lcutrunc.hamiltonian import (
     HamiltonianTerm,
@@ -95,6 +95,22 @@ def test_truncation_vector_normalization():
         TruncationVector.from_levels([-1])
 
 
+@pytest.mark.parametrize("levels", [(2.5,), (2.5, 1), ("2", 1.9)], ids=str)
+def test_level_counts_that_are_not_integers_are_rejected(two_term, levels):
+    # int() would truncate 2.5 to 2 and parse "2"; every reader of a vector rejects them instead
+    message = re.escape(f"level counts must be integers, got {list(levels)}")
+    for read in (TruncationVector.from_levels, lambda v: epsilon_bound(two_term, v),
+                 lambda v: multi_step_error(two_term, v, 2), lambda v: verify_identities(two_term, v)):
+        with pytest.raises(ValueError, match=message):
+            read(levels)
+
+
+def test_numpy_integer_level_counts_pass_as_ints(two_term):
+    vec = TruncationVector.from_levels(np.array([2, 1]))
+    assert vec.levels == (2, 1) and all(type(v) is int for v in vec.levels)
+    assert epsilon_bound(two_term, np.array([2, 1])) == epsilon_bound(two_term, (2, 1))
+
+
 def test_truncation_vector_trims_trailing_zeros_however_built(two_term):
     vec = TruncationVector(levels=(1, 0))
     assert vec == TruncationVector.from_levels((1, 0)) == TruncationVector((1,))
@@ -140,7 +156,7 @@ def test_s_value_empty_vector_is_one(two_term):
 def test_s_value_single_term():
     ham = parse_hamiltonian("1.0 Z")
     assert s_value(ham, (1,), LN2) == pytest.approx(1.0 + LN2, abs=1e-15)
-    with pytest.raises(ValueError, match="t must be nonnegative"):
+    with pytest.raises(ValueError, match="t must be finite and nonnegative, got -1.0"):
         s_value(ham, (1,), -1.0)
 
 

@@ -1,4 +1,4 @@
-"""Equal-cost comparison rows and their serialization."""
+"""Equal-cost comparison rows, their serialization and the pinned text of every result record."""
 
 import hashlib
 import json
