@@ -182,7 +182,7 @@ _COMMANDS = {
         ("--r-max", {"type": int, "default": 1, "help": "measure up to this many repeated steps"}),
     ]),
     "compare": ("full-order vs greedy at equal cost", _compare, ("csv", "json"), "hamiltonian", False, [
-        ("--n-max", {"type": int, "required": True}),
+        ("--n-max", {"type": int, "required": True, "help": "last full-expansion order, from 1 to 200"}),
         ("--dense", {"action": "store_true", "help": "also measure exact errors"}),
     ]),
     "resources": ("ancilla and gate-count estimates", _resources, ("json",), "hamiltonian", True, []),

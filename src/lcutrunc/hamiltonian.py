@@ -90,16 +90,15 @@ class HamiltonianTerm:
 
 @dataclass(frozen=True)
 class SortedHamiltonian:
-    """Terms sorted by descending weight, with prefix and suffix sums of the weights.
+    """Terms sorted by descending weight, with prefix sums of the weights.
 
     ``prefix[m]`` is the sum of the ``m`` largest weights; ``lambda_total``
-    is the full weight sum.  ``suffix[m] = Lambda - Lambda_m``, summed from the smallest weight.
+    is the full weight sum.  The planner builds its other tables, ``Lambda - Lambda_m`` among them.
     """
 
     terms: tuple[HamiltonianTerm, ...]
     qubit_count: int
     prefix: tuple[float, ...]
-    suffix: tuple[float, ...]
     lambda_total: float
     label: str = field(default="", compare=False)
 
@@ -172,8 +171,7 @@ def _build(rows: list[tuple[complex, str, int]], label: str) -> SortedHamiltonia
     prefix = tuple(accumulate((term.alpha for term in terms), initial=0.0))
     if not math.isfinite(prefix[-1]):
         raise TermListError(f"the weights sum to {prefix[-1]}, past the largest float")
-    suffix = tuple(accumulate((term.alpha for term in reversed(terms)), initial=0.0))[::-1]
-    return SortedHamiltonian(tuple(terms), qubit_count, prefix, suffix, prefix[-1], label)
+    return SortedHamiltonian(tuple(terms), qubit_count, prefix, prefix[-1], label)
 
 
 def _parse_coefficient(token: str) -> complex:

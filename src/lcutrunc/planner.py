@@ -16,9 +16,9 @@ With ``Lambda_k`` counted as 1 their sum from order ``k`` on is
 The greedy planner starts from the empty vector and repeatedly increments
 the order whose next term buys the largest increase of ``s`` (equivalently,
 the largest decrease of the error bound) per unit of gate cost.  One flat
-loop, :func:`_greedy_loop`, runs it over tables built once per run.  It keeps
-the order weights across steps and refills only those from the bumped order
-on; one reverse pass over them, down to the lowest order that is not full,
+loop, :func:`_greedy_loop`, runs it over tables built once per Hamiltonian.
+It keeps the order weights across steps and refills only those from the bumped
+order on; one reverse pass over them, down to the lowest order that is not full,
 gives the bound and every open order's gain with the float operations of
 :func:`insertion_gain`, so the order taken has the largest
 :func:`insertion_gain`, bit for bit, the lowest such order at a tie.  Every
@@ -269,13 +269,13 @@ def _field_values(record) -> dict[str, Any]:
 
 
 def _csv_text(columns: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
-    """The CSV lines of ``columns`` and ``rows``: a float cell is its ``repr``, a missing value
-    empty, a vector its levels joined by ``;``; so no cell holds a comma, quote or newline."""
+    """The CSV lines of ``columns`` and ``rows``: a float cell, numpy's too, is ``float.__repr__`` of it,
+    a missing value empty, a vector its levels joined by ``;``; so no cell holds a comma, quote or newline."""
 
     def cell(value: Any) -> str:
         if isinstance(value, TruncationVector):
             return ";".join(map(str, value.levels))
-        return "" if value is None else repr(value) if isinstance(value, float) else str(value)
+        return "" if value is None else float.__repr__(value) if isinstance(value, float) else str(value)
 
     return "\n".join([",".join(columns), *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
@@ -412,12 +412,12 @@ def _greedy_loop(
 ) -> tuple[list[int], list[float], list[float], list[int]]:
     """Greedy steps from ``levels``: each step's order and gain, the bound at each cost from 0 on, the counts.
 
-    One flat loop over per-run tables at ``t = t_inf``: the term weights, ``t * Lambda_c``
-    for every count ``c`` and ``t/m`` for the orders ``m`` up to 200, beside the fixed
-    ``ln 2/m`` and ``phi_m(ln 2)``.  The order weights are kept across steps; bumping order ``b``
-    refills only ``w_b, ..., w_K``, each ``w_k = w_{k-1} * (t Lambda_k / k)`` as in
-    :func:`order_weights`, which ends them at the first empty order and past order
-    199 at the first 0.0 (at ``t_inf`` every weight from order 166 on is 0.0).
+    One flat loop over tables at ``t = t_inf``, built once per Hamiltonian, on its first call, and kept
+    on it: the term weights, ``Lambda - Lambda_c`` and ``t * Lambda_c`` for every count ``c`` and ``t/m``
+    for the orders ``m`` up to 200, beside the fixed ``ln 2/m`` and ``phi_m(ln 2)``.  The order weights
+    are kept across steps; bumping order ``b`` refills only ``w_b, ..., w_K``, each ``w_k = w_{k-1} *
+    (t Lambda_k / k)`` as in :func:`order_weights`, which ends them at the first empty order and past
+    order 199 at the first 0.0 (at ``t_inf`` every weight from order 166 on is 0.0).
     Then one reverse pass from the top live order ``K`` down to the lowest order
     that is not full gives the bound and the gains.  The full orders below it add
     exactly 0.0 to the bound (``Lambda - Lambda_L = 0.0``) and have no gain.
@@ -436,11 +436,15 @@ def _greedy_loop(
     :class:`ConvergenceError` where no gain is above 0.0 and the bound is not.
     The returned counts run on past the last order with zeros.
     """
-    alphas = [term.alpha for term in hamiltonian.terms]
-    prefix, suffix, num_terms, phi, ln2_over = hamiltonian.prefix, hamiltonian.suffix, len(alphas), _PHI, _LN2_OVER
-    t, orders = t_infinity(hamiltonian), len(_PHI)  # orders 0..200
-    t_prefix = [t * lam for lam in prefix]  # weight *= t_prefix[c] / k is weight *= t * lam / k, bit for bit
-    t_over = [0.0] + [t / m for m in range(1, orders)]
+    tables = hamiltonian.__dict__.get("_kernel_tables")
+    if tables is None:  # on the object, not in a dict keyed by it: a lookup there would hash every term
+        alphas, t = tuple(term.alpha for term in hamiltonian.terms), t_infinity(hamiltonian)
+        suffix = tuple(accumulate(reversed(alphas), initial=0.0))[::-1]  # Lambda - Lambda_c, from the smallest weight
+        t_prefix = tuple(t * lam for lam in hamiltonian.prefix)  # weight *= t_prefix[c] / k is weight *= t * lam / k
+        tables = alphas, suffix, t_prefix, (0.0, *(t / m for m in range(1, len(_PHI))))
+        object.__setattr__(hamiltonian, "_kernel_tables", tables)  # no field, so ==, hash and repr ignore it
+    alphas, suffix, t_prefix, t_over = tables
+    prefix, num_terms, phi, ln2_over, orders = hamiltonian.prefix, len(alphas), _PHI, _LN2_OVER, len(_PHI)
     counts = [*levels, *[0] * orders]  # a zero past the last order ends the refill and the full-order skip
     weights = [1.0] * orders  # w_0 = 1.0; w_1, ... are written before they are read
     chosen: list[int] = []

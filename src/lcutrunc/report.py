@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .densesim import _StepErrors
 from .hamiltonian import SortedHamiltonian
-from .planner import _csv_text, _field_values, _greedy, epsilon_bound, full_order_levels
+from .planner import _PHI, _csv_text, _field_values, _greedy, epsilon_bound, full_order_levels
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def generate_comparison_report(
     n_max: int,
     with_dense: bool = False,
 ) -> list[ComparisonRow]:
-    """One row per full-expansion order n = 1..n_max at equal cost n*L.
+    """One row per full-expansion order n = 1..n_max at equal cost n*L, for ``n_max`` from 1 to 200.
 
     A single greedy run to cost ``n_max * L``, the loop behind
     :func:`~lcutrunc.planner.greedy_plan`, records the bound at each cost:
@@ -50,8 +50,8 @@ def generate_comparison_report(
     cost ``c`` whose bound already undercuts the full expansion's, or None
     if the trace never does.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    if not 1 <= n_max < len(_PHI):  # the kernel reads orders up to 200; eps_full is 0.0 from about 166 on
+        raise ValueError(f"n_max must be from 1 to {len(_PHI) - 1}, got {n_max}")
     num_terms = hamiltonian.num_terms
     chosen, epsilons, _ = _greedy(hamiltonian, n_max * num_terms, None)
     bounds = [1.0, *epsilons]  # the bound at each cost from 0 up to where the run stopped

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from decimal import Decimal
 from pathlib import Path
@@ -131,6 +132,19 @@ def test_a_budget_past_a_bound_of_zero_ends_at_that_vector(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert [row["eps_greedy"] for row in rows[164:]] == [0.0] * 36
     assert rows[163]["eps_greedy"] > 0.0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "e408f25e308de6bd25d2b4d230004909401b7eed20c6791fcb1fa3a4d4b09c65"
+
+
+@pytest.mark.parametrize("n_max", ["0", "201", "100000000000000000000"])
+def test_an_n_max_outside_1_to_200_exits_2_at_once_with_one_error_line(tmp_path, capsys, n_max):
+    # the bound reads orders up to 200, and every Hamiltonian's eps_full is 0.0 from about order 166 on
+    path, out = tmp_path / "z.txt", tmp_path / "compare.csv"
+    path.write_text("1.0 Z\n")
+    start = time.perf_counter()
+    assert main(["compare", "--hamiltonian", str(path), "--n-max", n_max, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: n_max must be from 1 to 200, got {n_max}\n")
+    assert not out.exists()
 
 
 def _parse_outcome(parser, argv, capsys):

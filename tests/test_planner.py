@@ -615,6 +615,32 @@ def test_epsilon_bound_is_the_greedy_loop_run_for_zero_steps(two_term):
     assert zero_steps(full_order_levels(two_term, 1000).levels) == zero_steps((2,) * 166) == 0.0
 
 
+def test_the_kernel_builds_its_tables_once_per_hamiltonian(monkeypatch):
+    builds = 0
+    exact = planner.t_infinity
+
+    def counted(hamiltonian):  # the table build reads t_inf once; nothing else in the kernel's callers does
+        nonlocal builds
+        builds += 1
+        return exact(hamiltonian)
+
+    monkeypatch.setattr(planner, "t_infinity", counted)
+    text, vectors = "1.0 ZI\n0.1 XX\n0.01 YY", [(), (1,), (3, 2, 1), (3,) * 300]
+    ham = parse_hamiltonian(text)
+    bounds = [epsilon_bound(ham, levels) for levels in vectors]
+    planner._greedy(ham, 40, None)
+    assert builds == 1
+    again = parse_hamiltonian(text)  # equal, but another object: it builds its own
+    assert [epsilon_bound(again, levels) for levels in vectors] == bounds and builds == 2
+
+
+def test_the_kernel_tables_leave_equality_hash_and_repr_alone(two_term):
+    fresh = parse_hamiltonian("1.0 ZI\n0.1 XX", label="two-term")
+    epsilon_bound(two_term, (2, 1))
+    planner._greedy(two_term, 5, None)
+    assert two_term == fresh and hash(two_term) == hash(fresh) and repr(two_term) == repr(fresh)
+
+
 def test_greedy_confirms_about_one_gain_per_step(monkeypatch):
     calls = 0
     exact = planner.insertion_gain

@@ -30,8 +30,7 @@ EXPORTED = {
         "layout", "prepare_rotations", "prepare_state_sizes", "select_ops", "t_proxy", "to_json",
     ],
     "SortedHamiltonian": [
-        "from_terms", "label", "lambda_total", "num_terms", "prefix", "prefix_lambda", "qubit_count",
-        "suffix", "terms",
+        "from_terms", "label", "lambda_total", "num_terms", "prefix", "prefix_lambda", "qubit_count", "terms",
     ],
     "TermListError": [],
     "TruncationVector": ["bump", "cost", "from_levels", "is_contiguous", "kappa", "level", "levels"],

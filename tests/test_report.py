@@ -158,8 +158,11 @@ def test_serialize_rejects_unknown_format(two_term):
 
 def test_validation():
     ham = uniform_hamiltonian(2)
-    with pytest.raises(ValueError):
-        generate_comparison_report(ham, 0)
+    # the bound reads orders up to 200
+    for n_max in (0, 201, 10**20):
+        with pytest.raises(ValueError, match=f"^n_max must be from 1 to 200, got {n_max}$"):
+            generate_comparison_report(ham, n_max)
+    assert [row.n for row in generate_comparison_report(ham, 200)] == list(range(1, 201))
 
 
 # The text of every result record, pinned byte for byte.  ErrorReport texts of the
@@ -200,6 +203,16 @@ def test_identity_report_csv_is_pinned(two_term):
         "levels,t,walk_block_residual,amplified_block_residual,normalization_error\n"
         "2;1,0.25,8.326785621649077e-17,3.519234075798827e-16,0.0\n"
     )
+
+
+def test_numpy_float_cells_write_as_floats(two_term):
+    # numpy 2's repr of a numpy float is np.float64(...); every CSV cell of a float is float.__repr__
+    assert verify_identities(two_term, (2, 1), np.float64(0.25)).to_csv() == (
+        "levels,t,walk_block_residual,amplified_block_residual,normalization_error\n"
+        "2;1,0.25,8.326785621649077e-17,3.519234075798827e-16,0.0\n"
+    )
+    row = ComparisonRow(2, 4, *map(np.float64, (0.25, 0.125, 2.0, 0.1, 0.0, math.inf, 1.5)))
+    assert rows_to_csv([row]).splitlines()[1] == "2,4,0.25,0.125,2.0,0.1,0.0,inf,1.5"
 
 
 def test_resource_estimate_json_is_pinned():
