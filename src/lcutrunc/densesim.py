@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -358,6 +359,8 @@ def multi_step_error(
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    if r_max > sys.maxsize:  # more errors than a list can index, let alone hold
+        raise MemoryError(f"{r_max} steps")
     vec = as_levels(levels)
     errors = _StepErrors(hamiltonian).measure(vec, r_max)
     return ErrorReport(vec, vec.cost, epsilon_bound(hamiltonian, vec), errors[0], tuple(enumerate(errors, start=1)))

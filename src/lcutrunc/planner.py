@@ -346,10 +346,10 @@ class PlanTrace:
         yield ("\n  ]" if self.orders else "]") + f',\n  "final_levels": {_json_array(levels)}\n}}\n'
 
     def _csv_pieces(self) -> Iterator[str]:
-        """:meth:`to_csv` as its header line and one line per step."""
+        """:meth:`to_csv` as its header line and one line per step, floats as in :func:`_csv_text`."""
         yield "step,k,gain,epsilon,cost\n"
         for i, (k, gain, epsilon) in enumerate(zip(self.orders, self.gains, self.epsilons), start=1):
-            yield f"{i},{k},{gain!r},{epsilon!r},{i}\n"
+            yield f"{i},{k},{float.__repr__(gain)},{float.__repr__(epsilon)},{i}\n"
 
 
 def greedy_plan(
@@ -373,7 +373,7 @@ def greedy_plan(
 
     A run also ends where no insertion lowers the bound in double precision:
     with fewer steps than the budget where the bound is 0.0 there, and
-    with :class:`ConvergenceError` where it is not.
+    with the :class:`ConvergenceError` of :func:`_greedy` where it is not.
     """
     chosen, epsilons, final = _greedy(hamiltonian, budget, target_epsilon)
     t, counts, gains = t_infinity(hamiltonian), [], []
@@ -390,10 +390,10 @@ def _greedy(
 ) -> tuple[list[int], list[float], TruncationVector]:
     """The greedy run of every command: each step's order, the bound after each step and the final levels.
 
-    Checks the stopping rule and runs :func:`_greedy_loop` from the empty vector: it
-    stops at ``cost == budget`` or ``epsilon <= target_epsilon``, and where no gain is
-    above 0.0 it stops if the bound is 0.0 and raises :class:`ConvergenceError` if not.
-    At ``t_inf`` every weight from order 166 on is 0.0, so the last rule ends every run.
+    Checks the stopping rule and runs :func:`_greedy_loop` from the empty vector to ``cost == budget``,
+    ``epsilon <= target_epsilon`` or a stall, where no gain is above 0.0 (at ``t_inf`` by order 166 at
+    the latest).  The one place a stall is an error: short of its budget or above its target, it
+    raises :class:`ConvergenceError` unless the bound is 0.0, where the run keeps its vector.
     """
     if (budget is None) == (target_epsilon is None):
         raise ValueError("specify exactly one of budget or target_epsilon")
@@ -403,6 +403,8 @@ def _greedy(
         raise ValueError("target_epsilon must lie strictly between 0 and 1")
     stop_epsilon = -1.0 if target_epsilon is None else target_epsilon  # a bound is never negative
     chosen, _, epsilons, counts = _greedy_loop(hamiltonian, (), budget, stop_epsilon)
+    if len(chosen) != budget and epsilons[-1] > (target_epsilon or 0.0):  # stalled short of budget or target
+        raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {len(chosen)}")
     del epsilons[0]  # the empty vector's bound, 1.0
     return chosen, epsilons, TruncationVector(levels=tuple(counts[:counts.index(0)]))
 
@@ -432,9 +434,9 @@ def _greedy_loop(
     calling :func:`insertion_gain` for every open order at every step.
 
     Stops after ``steps`` steps (``None``: no limit), at a bound ``<= stop_epsilon``,
-    or where no gain is above 0.0 and the bound is 0.0; raises
-    :class:`ConvergenceError` where no gain is above 0.0 and the bound is not.
-    The returned counts run on past the last order with zeros.
+    or where no gain is above 0.0, whatever the bound there; it never raises, and a
+    caller tells a stall from the step count and the last bound.  The returned counts
+    run on past the last order with zeros.
     """
     tables = hamiltonian.__dict__.get("_kernel_tables")
     if tables is None:  # on the object, not in a dict keyed by it: a lookup there would hash every term
@@ -473,12 +475,8 @@ def _greedy_loop(
                 best, best_k = gain, m
         epsilons.append(epsilon)
 
-        if epsilon <= stop_epsilon or cost == steps:
+        if epsilon <= stop_epsilon or cost == steps or best <= 0.0:
             break
-        if best <= 0.0:
-            if epsilon:
-                raise ConvergenceError(f"no insertion improves the bound in double precision; stopped at cost {cost}")
-            break  # the bound is 0.0 already
         counts[best_k - 1] += 1
         chosen.append(best_k)
         gains.append(best)

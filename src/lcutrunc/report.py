@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from .densesim import _StepErrors
 from .hamiltonian import SortedHamiltonian
-from .planner import _PHI, _csv_text, _field_values, _greedy, epsilon_bound, full_order_levels
+from .planner import _PHI, _csv_text, _field_values, _greedy_loop, epsilon_bound, full_order_levels
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ def generate_comparison_report(
 
     A single greedy run to cost ``n_max * L``, the loop behind
     :func:`~lcutrunc.planner.greedy_plan`, records the bound at each cost:
-    ``epsilon_bound`` of that prefix vector.  A run that stops early, at a bound of
-    0.0 that no insertion lowers, gives every later row its last vector and bound.
+    ``epsilon_bound`` of that prefix vector.  A run that stalls early, where no gain is above 0.0,
+    gives every later row its last vector and bound, 0.0 or not, which may exceed an ``eps_full`` of 0.0.
     ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the smallest greedy
     cost ``c`` whose bound already undercuts the full expansion's, or None
     if the trace never does.
@@ -53,8 +53,7 @@ def generate_comparison_report(
     if not 1 <= n_max < len(_PHI):  # the kernel reads orders up to 200; eps_full is 0.0 from about 166 on
         raise ValueError(f"n_max must be from 1 to {len(_PHI) - 1}, got {n_max}")
     num_terms = hamiltonian.num_terms
-    chosen, epsilons, _ = _greedy(hamiltonian, n_max * num_terms, None)
-    bounds = [1.0, *epsilons]  # the bound at each cost from 0 up to where the run stopped
+    chosen, _, bounds, _ = _greedy_loop(hamiltonian, (), n_max * num_terms, -1.0)  # bounds from cost 0 on
 
     # the rows share their spectral work, and each equals a standalone measurement
     errors = _StepErrors(hamiltonian) if with_dense else None

@@ -233,6 +233,26 @@ def test_a_huge_order_exits_3_out_of_memory_with_one_error_line(ham_file, tmp_pa
         assert not out.exists()
 
 
+def _readme_input(tmp_path) -> Path:
+    """The README's ``H.txt``: 32 terms on 3 qubits, weights over 3 decades."""
+    path = tmp_path / "H.txt"
+    argv = ["gen-logspread", "--terms", "32", "--decades", "3", "--qubits", "3", "--seed", "1", "--out", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize("levels", [("--budget", "12"), ("--order", "2")], ids=["repeated-products", "full-order"])
+def test_a_huge_r_max_exits_3_at_once_with_one_error_line(tmp_path, capsys, levels):
+    # one measured error per step: 10**20 of them is past the largest index of a list
+    path, out = _readme_input(tmp_path), tmp_path / "errors.json"
+    start = time.perf_counter()
+    argv = ["simulate", "--hamiltonian", str(path), *levels, "--r-max", "100000000000000000000", "--out", str(out)]
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: out of memory; request a smaller size\n"
+    assert not out.exists()
+
+
 def test_compare_bounds_only(ham_file, tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--hamiltonian", str(ham_file), "--n-max", "3", "--out", str(out)]) == 0
@@ -456,6 +476,31 @@ def test_the_readme_input_plans_to_a_target_past_64_steps_a_term(tmp_path):
     assert len(epsilons) == 4946
     assert epsilons[-1] <= 1e-300 < epsilons[-2]
     assert epsilons[-1] == epsilon_bound(parse_hamiltonian(path.read_text()), payload["final_levels"])
+
+
+def test_compare_past_the_greedy_runs_stall_repeats_its_last_vector_and_bound(tmp_path, capsys):
+    # the greedy run to cost n_max * 32 stalls at cost 5258, where no gain is above 0.0 and the
+    # bound is 1e-323; every row past it takes that vector and bound, and --n-max 165 to 200 exit 0
+    path = _readme_input(tmp_path)
+    lines = {}
+    for n_max in ("164", "165", "200"):
+        out = tmp_path / f"compare_{n_max}.csv"
+        assert main(["compare", "--hamiltonian", str(path), "--n-max", n_max, "--out", str(out)]) == 0
+        lines[n_max] = out.read_text().splitlines()
+    assert lines["200"][:165] == lines["164"] and lines["200"][:166] == lines["165"]
+    stalled = [dict(zip(lines["200"][0].split(","), line.split(","))) for line in lines["200"][165:]]
+    assert [row["n"] for row in stalled] == [str(n) for n in range(165, 201)]
+    assert all(row["eps_greedy"] == "1e-323" and row["cost_saving_in_orders"] == "" for row in stalled)
+    assert greedy_plan(parse_hamiltonian(path.read_text()), budget=5258).epsilons[-1] == 1e-323
+    # measured too, every row past the stall measures the same vector as row 165
+    out = tmp_path / "compare_dense.csv"
+    assert main(["compare", "--hamiltonian", str(path), "--n-max", "200", "--dense", "--out", str(out)]) == 0
+    dense = [line.split(",") for line in out.read_text().splitlines()[165:]]
+    assert len(dense) == 36 and {row[6] for row in dense} == {dense[0][6]} != {""}
+    # a budget run that cannot be spent there is still an error
+    assert main(["bound", "--hamiltonian", str(path), "--budget", "6000"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: no insertion improves the bound in double precision; stopped at cost 5258\n"
 
 
 _SUBNORMAL_INPUTS = {"1e-320": "1e-320 Z\n", "3e-309": "3e-309 Z\n1e-309 X\n"}
@@ -714,7 +759,7 @@ def test_out_extension_is_checked_before_any_planning(ham_file, tmp_path, monkey
 
     # the greedy kernel runs behind greedy_plan, --budget and compare alike
     monkeypatch.setattr(planner_module, "_greedy", no_work)
-    monkeypatch.setattr(report_module, "_greedy", no_work)
+    monkeypatch.setattr(report_module, "_greedy_loop", no_work)
     monkeypatch.setattr(densesim_module, "hamiltonian_matrix", no_work)
     for out, message in [
         (tmp_path / "result.txt", "output extension 'txt' not supported"),

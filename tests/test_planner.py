@@ -580,6 +580,23 @@ def test_greedy_stops_where_no_gain_survives_in_double_precision():
         greedy_plan(logspread_hamiltonian(20, 3, 6, seed=1), budget=4000)
 
 
+def test_the_kernel_stops_at_a_stall_and_only_greedy_raises():
+    # no gain is above 0.0 at cost 3287 while the bound is not 0.0: the kernel returns there,
+    # whatever its budget or target, and _greedy, which owns the stopping rule, raises
+    ham = logspread_hamiltonian(20, 3, 6, seed=1)
+    for steps, stop_epsilon in [(4000, -1.0), (None, 5e-324)]:
+        chosen, gains, epsilons, counts = planner._greedy_loop(ham, (), steps, stop_epsilon)
+        assert len(chosen) == len(gains) == 3287 == len(epsilons) - 1
+        assert epsilons[-1] > 0.0 and epsilons[-1] == epsilon_bound(ham, counts[:counts.index(0)])
+    message = r"^no insertion improves the bound in double precision; stopped at cost 3287$"
+    for stop in [(4000, None), (None, 5e-324)]:
+        with pytest.raises(ConvergenceError, match=message):
+            planner._greedy(ham, *stop)
+    # a budget that ends at the stall is spent, and a target at its bound is met
+    assert planner._greedy(ham, 3287, None)[1][-1] == epsilons[-1]
+    assert planner._greedy(ham, None, epsilons[-1])[1][-1] == epsilons[-1]
+
+
 def test_gain_estimates_track_insertion_gain_far_inside_the_screen_margin():
     ham = logspread_hamiltonian(12, 4.0, 4, seed=12)
     t = t_infinity(ham)
@@ -711,6 +728,16 @@ def _plan_traces(draw):
 @example(planner.PlanTrace("<unnamed>", 1e-300, (1,), (0.0,), (1.0,), TruncationVector((1,))))
 def test_trace_json_is_the_stdlib_encoding_byte_for_byte(trace):
     assert trace.to_json() == plan_json_oracle(trace)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_plan_traces())
+# numpy 2's repr of a numpy float is np.float64(...); the trace's CSV cells follow the rule of _csv_text
+@example(planner.PlanTrace("x", np.float64(0.25), (1,), (np.float64(0.5),), (np.float64(0.125),), TruncationVector((1,))))
+def test_trace_csv_writes_every_float_as_its_python_float(trace):
+    rows = zip(trace.orders, trace.gains, trace.epsilons)
+    lines = [f"{i},{k},{float(gain)!r},{float(epsilon)!r},{i}" for i, (k, gain, epsilon) in enumerate(rows, start=1)]
+    assert trace.to_csv() == "\n".join(["step,k,gain,epsilon,cost", *lines]) + "\n"
 
 
 def test_plan_large_target_trace_json_is_the_stdlib_encoding():
