@@ -1,49 +1,10 @@
-"""Planning and verification toolkit for by-weight truncated-Taylor LCU simulation."""
+"""Planning and verification toolkit for by-weight truncated-Taylor LCU simulation.
 
-from .errors import CapExceeded, ConvergenceError, TermListError
-from .hamiltonian import (
-    HamiltonianTerm,
-    PauliString,
-    SortedHamiltonian,
-    format_term_list,
-    logspread_hamiltonian,
-    parse_hamiltonian,
-    random_hamiltonian,
-)
-from .planner import (
-    PlanStep,
-    PlanTrace,
-    TruncationVector,
-    epsilon_bound,
-    full_order_levels,
-    greedy_plan,
-    insertion_gain,
-    s_value,
-    solve_t_root,
-    t_infinity,
-)
-from .densesim import (
-    ErrorReport,
-    amplified_operator,
-    exact_evolution,
-    hamiltonian_matrix,
-    multi_step_error,
-    operator_norm,
-    single_step_error,
-    truncated_series_operator,
-)
-from .circuitmodel import (
-    AncillaLayout,
-    IdentityReport,
-    ResourceEstimate,
-    build_prepare,
-    build_select,
-    build_walk_operators,
-    estimate_resources,
-    layout_for,
-    verify_identities,
-)
-from .report import ComparisonRow, generate_comparison_report, serialize_report
+The layers load on first use (PEP 562): the first exported name or layer read imports
+them all and binds every export, so the CLI's ``gen-*`` commands compile none of them.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -89,3 +50,25 @@ __all__ = [
     "truncated_series_operator",
     "verify_identities",
 ]
+
+_LAYERS = ("errors", "hamiltonian", "planner", "densesim", "circuitmodel", "report")
+
+
+def _load() -> None:
+    """Import every layer and bind every exported name here."""
+    for layer in _LAYERS:
+        # not ``from . import``: its attribute check would call __getattr__ again
+        module = importlib.import_module(f"{__name__}.{layer}")
+        globals().update((name, value) for name, value in vars(module).items() if name in __all__)
+
+
+def __getattr__(name: str):
+    if name not in __all__ and name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    _load()
+    return sorted(globals())

@@ -3,7 +3,8 @@
 Every command writes its result to ``--out`` (format chosen by extension) or
 stdout.  One runner serves them all: it checks the ``--out`` extension and
 directory before any work, loads the ``--hamiltonian`` or ``--template`` input
-once, runs the command for its text and writes it.  ``plan`` hands over its text
+once, runs the command for its text and writes it; only the ``--hamiltonian``
+commands import the analysis layers, all at once.  ``plan`` hands over its text
 in pieces, one per step, written as they are formatted.  Exit codes: 0 success,
 2 input error, 3 size cap exceeded or out of memory, 4 non-convergence.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 import warnings
@@ -27,8 +27,6 @@ from .hamiltonian import (
     parse_hamiltonian,
     random_hamiltonian,
 )
-from . import densesim, planner, report
-from .circuitmodel import estimate_resources
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -103,9 +101,17 @@ def _check_out_directory(out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {os.strerror(reason)}")
 
 
+def _import_layers() -> None:
+    """Bind the analysis layers here, all at once, as the package loads them; the ``gen-*`` commands load none."""
+    global circuitmodel, densesim, planner, report
+    from . import circuitmodel, densesim, planner, report
+
+
 def _run(args) -> int:
     fmt = _format_of(args.out, args.formats)
     _check_out_directory(args.out)
+    if args.source == "hamiltonian":
+        _import_layers()
     hamiltonian = _load_hamiltonian(getattr(args, args.source)) if args.source else None
     _emit(args.run(args, hamiltonian, fmt), args.out)
     return EXIT_OK
@@ -123,6 +129,7 @@ def _bound(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
     """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, written directly as
     :meth:`~lcutrunc.planner.PlanTrace.to_json` writes its own: the stdlib encoder runs
     in pure Python under ``indent``, slow over a vector of a million orders."""
+    import json
     vec, num = _resolve_levels(args, hamiltonian), float.__repr__
     t_infinity = planner.t_infinity(hamiltonian)
     s_value = planner.s_value(hamiltonian, vec, t_infinity)
@@ -160,7 +167,7 @@ def _compare(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
 
 
 def _resources(args, hamiltonian: SortedHamiltonian, fmt: str) -> str:
-    return estimate_resources(_resolve_levels(args, hamiltonian)).to_json()
+    return circuitmodel.estimate_resources(_resolve_levels(args, hamiltonian)).to_json()
 
 
 def _gen_random(args, template: SortedHamiltonian, fmt: None) -> str:

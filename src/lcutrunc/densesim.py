@@ -75,6 +75,11 @@ np = _Numpy(globals())
 
 DEFAULT_QUBIT_CAP = 12
 QUBIT_CAP_ENV = "LCUTRUNC_QUBIT_CAP"
+# bytes of physical memory, or the largest index where the system does not say (Windows has no os.sysconf)
+_PHYSICAL_MEMORY = (
+    os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else sys.maxsize
+)
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -359,7 +364,7 @@ def multi_step_error(
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    if r_max > sys.maxsize:  # more errors than a list can index, let alone hold
+    if r_max * 32 > _PHYSICAL_MEMORY:  # one error per step: a float and its list slot at least
         raise MemoryError(f"{r_max} steps")
     vec = as_levels(levels)
     errors = _StepErrors(hamiltonian).measure(vec, r_max)

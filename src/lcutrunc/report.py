@@ -45,7 +45,8 @@ def generate_comparison_report(
     A single greedy run to cost ``n_max * L``, the loop behind
     :func:`~lcutrunc.planner.greedy_plan`, records the bound at each cost:
     ``epsilon_bound`` of that prefix vector.  A run that stalls early, where no gain is above 0.0,
-    gives every later row its last vector and bound, 0.0 or not, which may exceed an ``eps_full`` of 0.0.
+    gives every later row its last vector, measured once, and its last bound, 0.0 or not, which
+    may exceed an ``eps_full`` of 0.0.
     ``cost_saving_in_orders`` is ``(n*L - c)/L`` for the smallest greedy
     cost ``c`` whose bound already undercuts the full expansion's, or None
     if the trace never does.
@@ -59,7 +60,7 @@ def generate_comparison_report(
     errors = _StepErrors(hamiltonian) if with_dense else None
 
     rows = []
-    match_cost = 0
+    match_cost, measured_cost, delta_greedy = 0, None, None
     for n in range(1, n_max + 1):
         cost = n * num_terms
         eps_full = epsilon_bound(hamiltonian, full_order_levels(hamiltonian, n))
@@ -71,11 +72,13 @@ def generate_comparison_report(
             match_cost += 1
         saving = (cost - match_cost) / num_terms if match_cost < len(bounds) else None
 
-        delta_full = delta_greedy = delta_ratio = None
+        delta_full = delta_ratio = None
         if with_dense:
             delta_full = errors.measure(full_order_levels(hamiltonian, n))[0]
-            orders = Counter(chosen[:cost])  # greedy fills orders 1..K, none skipped
-            delta_greedy = errors.measure([orders[k] for k in range(1, len(orders) + 1)])[0]
+            greedy = chosen[:cost]  # past a stall, the whole run: the row before's vector, measured once
+            if len(greedy) != measured_cost:
+                measured_cost, orders = len(greedy), Counter(greedy)  # greedy fills orders 1..K, none skipped
+                delta_greedy = errors.measure([orders[k] for k in range(1, len(orders) + 1)])[0]
             delta_ratio = delta_full / delta_greedy if delta_greedy > 0 else float("inf")
 
         rows.append(ComparisonRow(n, cost, eps_full, eps_greedy, ratio, delta_full, delta_greedy, delta_ratio, saving))

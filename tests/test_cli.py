@@ -242,15 +242,22 @@ def _readme_input(tmp_path) -> Path:
 
 
 @pytest.mark.parametrize("levels", [("--budget", "12"), ("--order", "2")], ids=["repeated-products", "full-order"])
-def test_a_huge_r_max_exits_3_at_once_with_one_error_line(tmp_path, capsys, levels):
-    # one measured error per step: 10**20 of them is past the largest index of a list
+def test_a_huge_r_max_exits_3_at_once_with_one_error_line(tmp_path, monkeypatch, capsys, levels):
+    # one measured error per step: 10**12 of them take more memory than any desk machine has,
+    # and 10**20 is past the largest index of a list; neither starts the dense work
+    import lcutrunc.densesim as densesim_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("started measuring errors that cannot be held")
+
     path, out = _readme_input(tmp_path), tmp_path / "errors.json"
-    start = time.perf_counter()
-    argv = ["simulate", "--hamiltonian", str(path), *levels, "--r-max", "100000000000000000000", "--out", str(out)]
-    assert main(argv) == 3
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == "error: out of memory; request a smaller size\n"
-    assert not out.exists()
+    monkeypatch.setattr(densesim_module, "_StepErrors", no_work)
+    for r_max in ("1000000000000", "100000000000000000000"):
+        start = time.perf_counter()
+        assert main(["simulate", "--hamiltonian", str(path), *levels, "--r-max", r_max, "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "error: out of memory; request a smaller size\n"
+        assert not out.exists()
 
 
 def test_compare_bounds_only(ham_file, tmp_path):
@@ -789,19 +796,31 @@ def _fresh_interpreter_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def test_importing_the_cli_loads_every_layer_and_no_numpy_until_a_dense_call():
-    # the benchmark's tracer reads every layer from sys.modules right after this import
-    code = (
-        "import json, sys, lcutrunc, lcutrunc.cli; print(json.dumps(sorted(sys.modules)))\n"
-        "lcutrunc.verify_identities(lcutrunc.parse_hamiltonian('1.0 ZI\\n0.1 XX'), (1, 1))\n"
-        "from lcutrunc import circuitmodel, densesim; import numpy; print(densesim.np is circuitmodel.np is numpy)"
+def test_the_generators_load_no_analysis_layer_and_no_numpy_until_a_dense_call(tmp_path):
+    # input generation loads the term-list layer alone; an analysis command or a public name
+    # loads every layer at once, so the benchmark's tracer finds them all after one pass
+    show = (
+        "print(sorted(m for m in sys.modules if m.startswith('lcutrunc.')), 'numpy' in sys.modules, 'json' in sys.modules)"
     )
-    command = [sys.executable, "-c", code]
-    result = subprocess.run(command, env=_fresh_interpreter_env(), capture_output=True, text=True, check=True)
-    modules, rebound = result.stdout.splitlines()
-    assert "numpy" not in json.loads(modules)
-    layers = ("hamiltonian", "planner", "report", "densesim", "circuitmodel", "cli")
-    assert {f"lcutrunc.{layer}" for layer in layers} <= set(json.loads(modules))
+    generate = "['gen-logspread', '--terms', '8', '--decades', '2', '--qubits', '2', '--seed', '1', '--out', sys.argv[1]]"
+    analyse = "['bound', '--hamiltonian', sys.argv[1], '--order', '1', '--out', sys.argv[2]]"
+    scripts = (
+        f"lcutrunc.cli.main({generate}); {show}\nlcutrunc.cli.main({analyse}); {show}",
+        f"lcutrunc.parse_hamiltonian; {show}\n"
+        "lcutrunc.verify_identities(lcutrunc.parse_hamiltonian('1.0 ZI\\n0.1 XX'), (1, 1))\n"
+        "from lcutrunc import circuitmodel, densesim; import numpy; print(densesim.np is circuitmodel.np is numpy)",
+    )
+    lines = []
+    for script in scripts:
+        code = f"import sys, lcutrunc, lcutrunc.cli\n{script}"
+        command = [sys.executable, "-c", code, tmp_path / "H.txt", tmp_path / "b.json"]
+        result = subprocess.run(command, env=_fresh_interpreter_env(), capture_output=True, text=True, check=True)
+        lines += result.stdout.splitlines()
+    generated, analysed, accessed, rebound = lines
+    assert generated == "['lcutrunc.cli', 'lcutrunc.errors', 'lcutrunc.hamiltonian'] False False"
+    layers = ("circuitmodel", "cli", "densesim", "errors", "hamiltonian", "planner", "report")
+    every_layer = [f"lcutrunc.{layer}" for layer in layers]
+    assert analysed.startswith(f"{every_layer} False ") and accessed.startswith(f"{every_layer} False ")
     # the first dense call binds the real module in place of the stand-in, which then costs nothing
     assert rebound == "True"
 

@@ -330,6 +330,16 @@ def test_multi_step_validation(two_term):
         multi_step_error(two_term, (1,), 0)
 
 
+def test_multi_step_error_rejects_more_steps_than_physical_memory_holds(two_term, monkeypatch):
+    # each step keeps one error, a float and its list slot of 32 bytes at least
+    import lcutrunc.densesim as densesim
+
+    monkeypatch.setattr(densesim, "_PHYSICAL_MEMORY", 32 * 4)
+    assert len(multi_step_error(two_term, (2, 1), 4).r_steps) == 4
+    with pytest.raises(MemoryError):
+        multi_step_error(two_term, (2, 1), 5)
+
+
 def test_error_report_serialization(two_term):
     import json
 

@@ -11,7 +11,7 @@ import pytest
 from lcutrunc.circuitmodel import estimate_resources, verify_identities
 from lcutrunc.densesim import multi_step_error, single_step_error
 from lcutrunc.hamiltonian import HamiltonianTerm, PauliString, SortedHamiltonian, logspread_hamiltonian
-from lcutrunc.planner import epsilon_bound, full_order_levels, greedy_plan
+from lcutrunc.planner import as_levels, epsilon_bound, full_order_levels, greedy_plan
 from lcutrunc.report import (
     ComparisonRow,
     generate_comparison_report,
@@ -116,6 +116,27 @@ def test_dense_report_shares_its_spectral_work(monkeypatch):
     # norm per row, for the greedy vectors; both spectra read one dense H
     assert calls == {"hamiltonian_matrix": 1, "eigvalsh": 1, "exact_evolution": 1, "eigh": 1, "operator_norm": 3}
 
+
+def test_dense_report_measures_each_greedy_vector_once(monkeypatch):
+    import lcutrunc.densesim as densesim
+
+    # the README's H.txt: the greedy run stalls at cost 5258, so rows 165 to 200 share its last vector
+    ham = logspread_hamiltonian(32, 3.0, 3, 1)
+    calls = Counter()
+    original = densesim._StepErrors.measure
+
+    def measure(self, levels, r_max=1):
+        calls[as_levels(levels).levels] += 1
+        return original(self, levels, r_max)
+
+    monkeypatch.setattr(densesim._StepErrors, "measure", measure)
+    rows = generate_comparison_report(ham, 200, with_dense=True)
+    full = {full_order_levels(ham, n).levels for n in range(1, 201)}
+    greedy = {cost: levels_at_cost(greedy_plan(ham, budget=5258), cost).levels for cost in (5248, 5258)}
+    # one measurement per full order and one per distinct greedy vector: rows 1 to 164, and the stalled one
+    assert sum(calls.values()) == 200 + 165 and all(calls[levels] == 1 for levels in full)
+    assert calls[greedy[5258]] == 1 and greedy[5248] != greedy[5258]
+    assert {row.delta_greedy for row in rows[164:]} == {rows[164].delta_greedy}
 
 def test_logspread_advantage_is_reported():
     from lcutrunc.hamiltonian import logspread_hamiltonian
