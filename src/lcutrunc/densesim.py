@@ -15,8 +15,10 @@ first axis as the most significant bit, matching ``np.kron`` order.  Since
 
 Each entry is a weight times +-1 or +-i, so the matrices are bit-for-bit
 those of the Kronecker-product construction, at O(2**n) cost per term.
-Operator norms are the largest singular value of a full SVD at every size,
-exact to double precision.
+The exact evolution is a scaled and squared Taylor polynomial (Moler & Van
+Loan, SIAM Rev. 45, 3 (2003)), six matrix products at ``t_inf``, and operator
+norms come from the top eigenvalue of the scaled ``M^dag M``, so no
+eigenvectors and no singular values are computed.
 
 A *full-order* vector keeps every term in each live order (each order
 before the first empty one).  Its series is a function of H, so the
@@ -25,9 +27,9 @@ measured errors of such a vector are read off the eigenvalues of H alone:
 formed from the Taylor remainder without cancellation, so they are exact to
 double precision, given the eigenvalues, down to the smallest errors.
 Every other vector is measured through the dense series, the amplification
-product and an SVD: ``U`` is ``exact_evolution``'s, and ``U^r`` and ``A^r``
-are repeated products of ``U`` and ``A``, so the errors have an absolute
-error of about 1e-15.
+product and ``operator_norm``: ``U`` is ``exact_evolution``'s, and ``U^r``
+and ``A^r`` are repeated products of ``U`` and ``A``, so the errors have an
+absolute error of about 1e-15.
 
 This module holds the one dense-size policy of the package: every dense
 construction, here and in ``circuitmodel``, raises ``CapExceeded`` before it
@@ -39,6 +41,7 @@ scale.  The circuit model's space counts its ancillas and the system qubits.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -82,6 +85,8 @@ _PHYSICAL_MEMORY = (
 )
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+# 1/k! for k = 0..16, the coefficients of exp's Taylor polynomial of degree 16
+_TAYLOR = tuple(1 / math.factorial(k) for k in range(17))
 
 
 def qubit_cap() -> int:
@@ -157,19 +162,54 @@ def _check_hermitian(hamiltonian: SortedHamiltonian) -> None:
     strings is Hermitian exactly when no term carries a folded phase of +-i.
     """
     if any(term.op.phase.imag for term in hamiltonian.terms):
-        raise ValueError("Hamiltonian matrix is not Hermitian; cannot exponentiate by eigendecomposition")
+        raise ValueError("Hamiltonian matrix is not Hermitian")
 
 
 def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndarray | None = None) -> np.ndarray:
-    """exp(-i H t) by Hermitian eigendecomposition; raises if H is not Hermitian.
+    """exp(-i H t) by a scaled Taylor series; raises for a ``t`` out of range or a non-Hermitian H.
+
+    With ``x = (-i t / 2**s) H``, where ``s`` is the least integer >= 0 with
+    ``|t| / 2**s <= t_inf = ln 2 / Lambda``, ``||x|| <= ln 2`` and the Taylor
+    terms of ``exp(x)`` past order 16 sum to less than 6e-18.  The degree-16
+    polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60
+    (1973)) in six products: ``x^2``, ``x^3`` and ``x^4``, then three Horner
+    steps in ``x^4``, holding only ``x`` to ``x^4``, the running sum and one
+    product.  The result is squared ``s`` times; ``s = 0`` at ``t_inf``.
+    Each squaring doubles the rounding error, so a ``t`` past ``2**52 t_inf``
+    is rejected: there ``|t| Lambda`` times the unit roundoff passes ln 2, so
+    double precision resolves no phase of the largest eigenvalues, and by
+    about ``2**64 t_inf`` the squares overflow.
 
     ``matrix``, if given, is ``hamiltonian_matrix(hamiltonian)``, already built.
     """
+    limit = t_infinity(hamiltonian)
+    if not abs(t) <= math.ldexp(limit, 52):
+        raise ValueError(f"t must be finite and within 2**52 t_inf = {math.ldexp(limit, 52)!r}, got {t}")
     if matrix is None:
         _check_hermitian(hamiltonian)
         matrix = hamiltonian_matrix(hamiltonian)
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    return (eigenvectors * np.exp(-1j * t * eigenvalues)) @ eigenvectors.conj().T
+    squarings = 0
+    while math.ldexp(abs(t), -squarings) > limit:
+        squarings += 1
+    dim = matrix.shape[0]
+    x = (-1j * math.ldexp(t, -squarings)) * matrix
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    total, product = _TAYLOR[16] * x4, np.empty_like(x)
+    for block in (12, 8, 4, 0):
+        if block < 12:
+            np.matmul(x4, total, out=product)
+            total, product = product, total
+        # add the block's terms c_b I + c_(b+1) x + c_(b+2) x^2 + c_(b+3) x^3, through the spare buffer
+        for power, coefficient in zip((x, x2, x3), _TAYLOR[block + 1 : block + 4]):
+            np.multiply(power, coefficient, out=product)
+            total += product
+        total.flat[:: dim + 1] += _TAYLOR[block]
+    for _ in range(squarings):
+        np.matmul(total, total, out=product)
+        total, product = product, total
+    return total
 
 
 def _live(vec: TruncationVector) -> tuple[int, ...]:
@@ -192,6 +232,8 @@ def truncated_series_operator(
     usual shape of greedy plans, the terms are visited once; an order with
     fewer terms than the order after it restarts the build.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _check_qubits(hamiltonian.qubit_count)
     counts = _live(checked_levels(hamiltonian, levels))
     dim = 2**hamiltonian.qubit_count
@@ -228,11 +270,19 @@ def amplified_operator(
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, from a full SVD at every size."""
+    """Largest singular value: ``c sqrt(lambda_max(Y^dag Y))`` for ``Y = M / c``, ``c = max |M_ij|``.
+
+    Scaling by ``c`` keeps ``Y^dag Y`` clear of underflow and overflow; a zero
+    matrix has norm 0.0.
+    """
     matrix = np.asarray(matrix)
-    if not np.all(np.isfinite(matrix)):
+    scale = float(np.max(np.abs(matrix)))
+    if not math.isfinite(scale):
         raise ValueError("operator norm requires finite entries")
-    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+    if scale == 0.0:
+        return 0.0
+    scaled = matrix / scale
+    return scale * math.sqrt(np.linalg.eigvalsh(scaled.conj().T @ scaled)[-1])
 
 
 @dataclass(frozen=True)

@@ -239,8 +239,9 @@ def random_hamiltonian(
 
     The Pauli strings (including their phases) are taken from ``template``;
     the result is re-sorted.  Deterministic for a fixed seed.  Raises if a
-    draw is 0 or below ``DROP_THRESHOLD`` times the largest draw, which the
-    builder, and so parsing the written term list, would drop.
+    draw is past the largest float, or is 0 or below ``DROP_THRESHOLD`` times
+    the largest draw, which the builder, and so parsing the written term
+    list, would drop.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -254,6 +255,8 @@ def random_hamiltonian(
     rng = np.random.default_rng(seed)
     draws = np.abs(rng.normal(mu, sigma, size=template.num_terms))
     smallest, largest = float(draws.min()), float(draws.max())
+    if math.isinf(largest):
+        raise ValueError(f"mu {mu} and sigma {sigma} drew a weight past the largest float")
     if not smallest or smallest < DROP_THRESHOLD * largest:
         raise ValueError(
             f"mu {mu} and sigma {sigma} drew the weight {smallest!r}, which would be dropped "

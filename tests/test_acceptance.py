@@ -199,7 +199,7 @@ def test_08_spread_weights_beat_full_orders():
 
 
 def test_09_matrix_exponential_cross_check():
-    with criterion("eigendecomposition matches scaling-and-squaring"):
+    with criterion("scaled Taylor series matches scaling-and-squaring"):
         rng = np.random.default_rng(109)
         for _ in range(5):
             ham = random_pauli_hamiltonian(rng, 4, int(rng.integers(3, 10)))

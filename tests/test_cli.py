@@ -193,15 +193,16 @@ def test_simulate_multi_step_csv(ham_file, tmp_path):
 
 
 def test_simulate_output_off_full_order_is_pinned_to_exact_bytes(ham_file, tmp_path):
-    # (2, 1) is not a full order, so it takes the series, amplification and SVD
-    # path, whose bytes must not move when the full-order path changes; at r = 2
-    # and r = 3 step_error_oracle gives 0.078244031866028969 and 0.11173979570958065
+    # (2, 1) is not a full order, so it takes the series, amplification and dense
+    # norm path, whose bytes must not move when the full-order path changes; at
+    # r = 1, 2 and 3 step_error_oracle gives 0.040911143987554996,
+    # 0.078244031866028969 and 0.11173979570958065
     expected = (
         '{\n  "levels": [\n    2,\n    1\n  ],\n  "cost": 3,\n'
-        '  "epsilon": 0.0884650858408722,\n  "delta": 0.040911143987554965,\n  "r_steps": [\n'
-        '    {\n      "r": 1,\n      "error": 0.040911143987554965\n    },\n'
-        '    {\n      "r": 2,\n      "error": 0.07824403186602885\n    },\n'
-        '    {\n      "r": 3,\n      "error": 0.11173979570958048\n    }\n  ]\n}\n'
+        '  "epsilon": 0.0884650858408722,\n  "delta": 0.040911143987554986,\n  "r_steps": [\n'
+        '    {\n      "r": 1,\n      "error": 0.040911143987554986\n    },\n'
+        '    {\n      "r": 2,\n      "error": 0.07824403186602903\n    },\n'
+        '    {\n      "r": 3,\n      "error": 0.11173979570958069\n    }\n  ]\n}\n'
     )
     out = tmp_path / "sim.json"
     argv = ["simulate", "--hamiltonian", str(ham_file), "--levels", "2,1", "--r-max", "3", "--out", str(out)]
@@ -376,6 +377,14 @@ def test_gen_random_rejects_weights_that_parsing_would_drop(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "mu 0.0 and sigma 5e-324 drew the weight 0.0" in err and "dropped on parsing" in err
+    assert not out.exists()
+
+
+def test_gen_random_names_an_infinite_draw_not_the_drop_rule(ham_file, tmp_path, capsys):
+    out = tmp_path / "random.txt"
+    argv = ["gen-random", "--template", str(ham_file), "--mu", "1e308", "--sigma", "1e308", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: mu 1e+308 and sigma 1e+308 drew a weight past the largest float\n"
     assert not out.exists()
 
 

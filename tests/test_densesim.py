@@ -1,7 +1,10 @@
 """Dense operator constructions and exact error measurement."""
 
 import math
+import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -119,6 +122,45 @@ def test_exact_evolution_unitary():
         ham = random_pauli_hamiltonian(rng, 3, int(rng.integers(2, 9)))
         u = exact_evolution(ham, t_infinity(ham))
         assert operator_norm(u.conj().T @ u - np.eye(8)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_evolution_matches_a_50_digit_oracle(seed):
+    # t_inf needs no squaring; 10 and 100 t_inf need 4 and 7; -t_inf is the adjoint
+    rng = np.random.default_rng(200 + seed)
+    ham = random_pauli_hamiltonian(rng, 3, int(rng.integers(3, 10)))
+    terms = ham.terms
+    with mpmath.workdps(50):
+        h = mpmath.matrix(matrix_from_raw([term.coefficient for term in terms], [term.op.axes for term in terms]).tolist())
+        t_inf = t_infinity(ham)
+        for t in (0.0, t_inf, 10 * t_inf, 100 * t_inf, -t_inf):
+            expected = np.array(mpmath.expm(-1j * mpmath.mpf(t) * h).tolist(), dtype=complex)
+            assert np.abs(exact_evolution(ham, t) - expected).max() <= 1e-14, t
+
+
+def test_exact_evolution_backwards_is_the_adjoint(two_term):
+    t = 3.7 * t_infinity(two_term)
+    forward, backward = exact_evolution(two_term, t), exact_evolution(two_term, -t)
+    assert np.abs(backward - forward.conj().T).max() <= 1e-15
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exact_evolution_and_the_series_reject_a_non_finite_t(two_term, t):
+    with pytest.raises(ValueError, match=f"^t must be finite and within 2\\*\\*52 t_inf = .*, got {t}$"):
+        exact_evolution(two_term, t)
+    with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+        truncated_series_operator(two_term, (2, 1), t)
+
+
+def test_exact_evolution_stays_finite_up_to_2_to_the_52_t_inf_and_rejects_a_longer_t(two_term):
+    # 52 squarings leave a unitarity error of about 0.1; near 64 the squares overflow to nan
+    bound = math.ldexp(t_infinity(two_term), 52)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(exact_evolution(two_term, -bound)).all()
+    for t in (math.nextafter(bound, math.inf), -1e300):
+        with pytest.raises(ValueError, match=re.escape(f"t must be finite and within 2**52 t_inf = {bound!r}, got {t}")):
+            exact_evolution(two_term, t)
 
 
 def test_exact_evolution_rejects_non_hermitian():
@@ -254,6 +296,17 @@ def test_operator_norm_near_degenerate_top_singular_values():
     m = (u * singular) @ v.conj().T
     expected = float(np.linalg.svd(m, compute_uv=False)[0])
     assert operator_norm(m) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_operator_norm_matches_the_svd_at_every_shape_and_scale(scale):
+    # the Gram matrix of an unscaled 1e-200 matrix underflows to 0, and of a 1e200 one overflows
+    rng = np.random.default_rng(43)
+    for shape in [(1, 1), (1, 130), (130, 1), (2, 3), (3, 2), (17, 5), (64, 64), (100, 130), (130, 130)]:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = float(np.linalg.svd(m, compute_uv=False)[0]) * scale
+        assert operator_norm(m * scale) == pytest.approx(expected, rel=1e-13, abs=0), shape
+    assert operator_norm(np.zeros((5, 3), dtype=complex)) == 0.0
 
 
 def test_operator_norm_rejects_non_finite():

@@ -337,6 +337,12 @@ def test_random_hamiltonian_rejects_all_zero_draws_naming_both_parameters(two_te
             random_hamiltonian(two_term, mu=mu, sigma=0.0, seed=1)
 
 
+def test_random_hamiltonian_rejects_an_infinite_draw_naming_both_parameters(two_term):
+    # seed 1 draws 1.35e308 and then inf; the infinite draw is named before the drop rule reads it
+    with pytest.raises(ValueError, match=r"^mu 1e\+308 and sigma 1e\+308 drew a weight past the largest float$"):
+        random_hamiltonian(two_term, mu=1e308, sigma=1e308, seed=1)
+
+
 def test_random_hamiltonian_deterministic(two_term):
     a = random_hamiltonian(two_term, 1.0, 0.1, seed=99)
     b = random_hamiltonian(two_term, 1.0, 0.1, seed=99)
