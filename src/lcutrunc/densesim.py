@@ -87,6 +87,8 @@ _PHYSICAL_MEMORY = (
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 # 1/k! for k = 0..16, the coefficients of exp's Taylor polynomial of degree 16
 _TAYLOR = tuple(1 / math.factorial(k) for k in range(17))
+# exact_evolution squares at most this often: each squaring doubles the rounding error
+_MAX_SQUARINGS = 20
 
 
 def qubit_cap() -> int:
@@ -175,21 +177,22 @@ def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndar
     (1973)) in six products: ``x^2``, ``x^3`` and ``x^4``, then three Horner
     steps in ``x^4``, holding only ``x`` to ``x^4``, the running sum and one
     product.  The result is squared ``s`` times; ``s = 0`` at ``t_inf``.
-    Each squaring doubles the rounding error, so a ``t`` past ``2**52 t_inf``
-    is rejected: there ``|t| Lambda`` times the unit roundoff passes ln 2, so
-    double precision resolves no phase of the largest eigenvalues, and by
-    about ``2**64 t_inf`` the squares overflow.
+    Each squaring doubles the rounding error, so an entry's error grows about
+    as ``2**(s - 52)``, as does the effect of rounding ``t H`` itself.  A ``t``
+    past ``2**20 t_inf`` would take more than ``_MAX_SQUARINGS`` = 20
+    squarings, and an error past ``2**-32`` (about 2.3e-10), so it is rejected.
 
     ``matrix``, if given, is ``hamiltonian_matrix(hamiltonian)``, already built.
     """
     limit = t_infinity(hamiltonian)
-    if not abs(t) <= math.ldexp(limit, 52):
-        raise ValueError(f"t must be finite and within 2**52 t_inf = {math.ldexp(limit, 52)!r}, got {t}")
+    ratio = abs(t) / limit  # a quotient, not 2**20 t_inf, which overflows for the smallest Lambda
+    if not ratio <= 2.0**_MAX_SQUARINGS:
+        raise ValueError(f"t must be finite and within 2**{_MAX_SQUARINGS} t_inf, t_inf = {limit!r}, got {t}")
     if matrix is None:
         _check_hermitian(hamiltonian)
         matrix = hamiltonian_matrix(hamiltonian)
     squarings = 0
-    while math.ldexp(abs(t), -squarings) > limit:
+    while math.ldexp(ratio, -squarings) > 1.0:
         squarings += 1
     dim = matrix.shape[0]
     x = (-1j * math.ldexp(t, -squarings)) * matrix

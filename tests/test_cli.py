@@ -19,7 +19,7 @@ from lcutrunc.hamiltonian import SortedHamiltonian, format_term_list, logspread_
 from lcutrunc.planner import epsilon_bound, greedy_plan
 
 from conftest import DATA_DIR
-from util import omitted_mass_oracle
+from util import omitted_mass_oracle, step_error_oracle
 
 TWO_TERM = "1.0 ZI\n0.1 XX\n"
 
@@ -561,6 +561,19 @@ def test_the_smallest_normal_weight_prints_finite_numbers(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["t_root"] > 0.0
     assert all(math.isfinite(value) for value in payload.values() if isinstance(value, float))
+
+
+def test_simulate_off_full_order_at_the_smallest_weights_matches_the_oracle(tmp_path, capsys):
+    # Lambda = 1.1e-300 puts t_inf near 6e299; (1,) is not a full order, so the dense
+    # path forms exp(-iH t_inf) and the errors come out as on the unit-scale pair
+    path = tmp_path / "tiny.txt"
+    path.write_text("1e-300 Z\n1e-301 X\n")
+    assert main(["simulate", "--hamiltonian", str(path), "--levels", "1", "--r-max", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    errors = [step["error"] for step in json.loads(captured.out)["r_steps"]]
+    oracle = step_error_oracle(parse_hamiltonian(path.read_text()), (1,), 2)
+    assert all(abs(error - float(exact)) <= 1e-15 for error, exact in zip(errors, oracle, strict=True))
 
 
 def test_bad_levels_string(ham_file):

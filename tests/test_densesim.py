@@ -2,7 +2,6 @@
 
 import math
 import re
-import warnings
 
 import mpmath
 import numpy as np
@@ -146,21 +145,38 @@ def test_exact_evolution_backwards_is_the_adjoint(two_term):
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_exact_evolution_and_the_series_reject_a_non_finite_t(two_term, t):
-    with pytest.raises(ValueError, match=f"^t must be finite and within 2\\*\\*52 t_inf = .*, got {t}$"):
+    with pytest.raises(ValueError, match=f"^t must be finite and within 2\\*\\*20 t_inf, t_inf = .*, got {t}$"):
         exact_evolution(two_term, t)
     with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
         truncated_series_operator(two_term, (2, 1), t)
 
 
-def test_exact_evolution_stays_finite_up_to_2_to_the_52_t_inf_and_rejects_a_longer_t(two_term):
-    # 52 squarings leave a unitarity error of about 0.1; near 64 the squares overflow to nan
-    bound = math.ldexp(t_infinity(two_term), 52)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.isfinite(exact_evolution(two_term, -bound)).all()
+def test_exact_evolution_holds_its_stated_accuracy_up_to_2_to_the_20_t_inf_and_rejects_a_longer_t(two_term):
+    # 20 squarings: each entry within 2**-32 of a 50-digit mpmath.expm, and U unitary to the same
+    t_inf = t_infinity(two_term)
+    bound = math.ldexp(t_inf, 20)
+    with mpmath.workdps(50):
+        h = mpmath.matrix(hamiltonian_matrix(two_term).tolist())
+        expected = np.array(mpmath.expm(1j * mpmath.mpf(bound) * h).tolist(), dtype=complex)
+    u = exact_evolution(two_term, -bound)
+    assert np.abs(u - expected).max() <= 2.0**-32
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 2.0**-32
     for t in (math.nextafter(bound, math.inf), -1e300):
-        with pytest.raises(ValueError, match=re.escape(f"t must be finite and within 2**52 t_inf = {bound!r}, got {t}")):
+        with pytest.raises(ValueError, match=re.escape(f"t must be finite and within 2**20 t_inf, t_inf = {t_inf!r}, got {t}")):
             exact_evolution(two_term, t)
+
+
+@pytest.mark.parametrize("factor", [1.0, 100.0, -1.0])
+def test_exact_evolution_at_the_smallest_weights_matches_the_closed_form(factor):
+    # Lambda = 1.1e-300, so t_inf is about 6e299 and 2**20 t_inf would overflow; with
+    # H = a Z + b X and w = sqrt(a^2 + b^2), exp(-iHt) = cos(wt) I - i sin(wt) H / w
+    ham = parse_hamiltonian("1e-300 Z\n1e-301 X")
+    t = factor * t_infinity(ham)
+    a, b = 1e-300, 1e-301
+    w = math.hypot(a, b)
+    h_unit = np.array([[a, b], [b, -a]]) / w
+    expected = math.cos(w * t) * np.eye(2) - 1j * math.sin(w * t) * h_unit
+    assert np.abs(exact_evolution(ham, t) - expected).max() <= 1e-14
 
 
 def test_exact_evolution_rejects_non_hermitian():
