@@ -14,7 +14,11 @@ first axis as the most significant bit, matching ``np.kron`` order.  Since
     P[c ^ x, c] = phase * i**n_Y * (-1)**popcount(c & z)
 
 Each entry is a weight times +-1 or +-i, so the matrices are bit-for-bit
-those of the Kronecker-product construction, at O(2**n) cost per term.
+those of the Kronecker-product construction.  Each Hamiltonian keeps one table
+of its terms' masks and weights ``alpha * phase * i**n_Y``, built on first
+use; a matrix adds a run of terms from it in ``np.add.at`` scatters of at most
+2**16 entries, with no Python loop over the terms of a scatter.  Terms that
+share an X mask write the same entries, and each entry sums them in term order.
 The exact evolution is a scaled and squared Taylor polynomial (Moler & Van
 Loan, SIAM Rev. 45, 3 (2003)), six matrix products at ``t_inf``, and operator
 norms come from the top eigenvalue of the scaled ``M^dag M``, so no
@@ -46,7 +50,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import CapExceeded
 from .hamiltonian import PauliString, SortedHamiltonian
@@ -87,6 +91,8 @@ _PHYSICAL_MEMORY = (
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 # 1/k! for k = 0..16, the coefficients of exp's Taylor polynomial of degree 16
 _TAYLOR = tuple(1 / math.factorial(k) for k in range(17))
+# entries one np.add.at call in _add_terms touches at most, which bounds its temporaries
+_SCATTER = 2**16
 # exact_evolution squares at most this often: each squaring doubles the rounding error
 _MAX_SQUARINGS = 20
 
@@ -119,41 +125,73 @@ def _symplectic(op: PauliString) -> tuple[int, int, complex]:
     return x, z, op.phase * _I_POWERS[n_y % 4]
 
 
+def _symplectic_table(hamiltonian: SortedHamiltonian) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The X masks, Z masks and weights ``alpha * phase * i**n_Y`` of H's terms, built once per object."""
+    table = hamiltonian.__dict__.get("_symplectic_table")
+    if table is None:
+        rows = [(*_symplectic(term.op), term.alpha) for term in hamiltonian.terms]
+        table = (
+            np.array([x for x, _, _, _ in rows], dtype=np.int64),
+            np.array([z for _, z, _, _ in rows], dtype=np.int64),
+            np.array([alpha * unit for _, _, unit, alpha in rows], dtype=complex),
+        )
+        object.__setattr__(hamiltonian, "_symplectic_table", table)  # no field, so ==, hash and repr ignore it
+    return table
+
+
 @lru_cache(maxsize=None)
-def _columns_and_signs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices ``c`` and ``(-1)**popcount(c)`` for ``c < dim``, read-only."""
+def _columns(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column indices ``c``, diagonal flat indices ``c (dim + 1)`` and ``(-1)**popcount(c)`` for ``c < dim``, read-only."""
     columns = np.arange(dim)
+    diagonal = columns * (dim + 1)
     # the low bit of the xor of all shifts of c is popcount(c) mod 2
     parity = np.zeros(dim, dtype=columns.dtype)
     for shift in range(dim.bit_length() - 1):
         parity ^= columns >> shift
     signs = 1.0 - 2.0 * (parity & 1)
-    columns.flags.writeable = signs.flags.writeable = False
-    return columns, signs
+    columns.flags.writeable = diagonal.flags.writeable = signs.flags.writeable = False
+    return columns, diagonal, signs
 
 
-def _add_paulis(matrix: np.ndarray, weighted: Iterable[tuple[float, PauliString]]) -> None:
-    """Add ``weight * P`` to ``matrix`` in place for each pair, in the given order."""
-    columns, signs = _columns_and_signs(matrix.shape[0])
-    for weight, op in weighted:
-        x, z, unit = _symplectic(op)
-        matrix[columns ^ x, columns] += (weight * unit) * signs[columns & z]
+def _add_terms(matrix: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], start: int, stop: int) -> None:
+    """Add terms ``start:stop`` of a symplectic table to ``matrix`` in place, by term.
+
+    Term ``j`` adds ``w_j (-1)**popcount(c & z_j)`` at flat index ``(c ^ x_j) d + c``,
+    which is ``c (d + 1) ^ x_j d`` as ``d`` is a power of two, for every column ``c < d``.
+    ``np.add.at`` is unbuffered and sums repeated indices in index order, and the
+    indices run term by term, so each entry sums its terms in table order.  One
+    scatter touches at most ``_SCATTER`` entries.
+    """
+    xs, zs, weights = table
+    dim = matrix.shape[0]
+    columns, diagonal, signs = _columns(dim)
+    flat = matrix.reshape(-1)  # a view: the matrix is contiguous
+    terms, width = max(1, _SCATTER // dim), min(dim, _SCATTER)
+    for first in range(start, stop, terms):
+        last = min(first + terms, stop)
+        x_rows, z, w = xs[first:last, None] * dim, zs[first:last, None], weights[first:last, None]
+        for low in range(0, dim, width):
+            c = columns[low : low + width]
+            # 1-d index and value arrays take np.add.at's fast path
+            np.add.at(flat, (diagonal[low : low + width] ^ x_rows).ravel(), (w * signs[c & z]).ravel())
 
 
 def pauli_string_matrix(op: PauliString) -> np.ndarray:
     """Dense matrix of a phased Pauli string from its symplectic form."""
+    _check_qubits(len(op))
     dim = 2 ** len(op)
     matrix = np.zeros((dim, dim), dtype=complex)
-    _add_paulis(matrix, [(1.0, op)])
+    x, z, unit = _symplectic(op)
+    _add_terms(matrix, (np.array([x]), np.array([z]), np.array([unit])), 0, 1)
     return matrix
 
 
 def hamiltonian_matrix(hamiltonian: SortedHamiltonian) -> np.ndarray:
-    """The sum of every term as a dense matrix."""
+    """The sum of every term as a dense matrix, from H's symplectic table; each entry sums its terms in order."""
     _check_qubits(hamiltonian.qubit_count)
     dim = 2**hamiltonian.qubit_count
     total = np.zeros((dim, dim), dtype=complex)
-    _add_paulis(total, ((term.alpha, term.op) for term in hamiltonian.terms))
+    _add_terms(total, _symplectic_table(hamiltonian), 0, hamiltonian.num_terms)
     return total
 
 
@@ -231,9 +269,11 @@ def truncated_series_operator(
     the per-order prefix Hamiltonians ``H_1 H_2 ... H_k``; an empty order
     terminates the series.  The sum is taken by Horner's rule from the top
     order down, ``S_k = I + (-it/k) H_k S_{k+1}``.  Each prefix Hamiltonian
-    extends the previous one in place, so for nonincreasing levels, the
-    usual shape of greedy plans, the terms are visited once; an order with
-    fewer terms than the order after it restarts the build.
+    extends the previous one in place by scattering the added terms of H's
+    symplectic table, so for nonincreasing levels, the usual shape of greedy
+    plans, the terms are visited once; an order with fewer terms than the
+    order after it restarts the build.  A ``t`` at which an entry overflows
+    raises ``ValueError``.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -241,18 +281,26 @@ def truncated_series_operator(
     counts = _live(checked_levels(hamiltonian, levels))
     dim = 2**hamiltonian.qubit_count
     prefix = np.zeros((dim, dim), dtype=complex)
-    built = 0
+    table, built = _symplectic_table(hamiltonian), 0
     series = np.eye(dim, dtype=complex)
-    for k in range(len(counts), 0, -1):
-        count = counts[k - 1]
-        if count < built:
-            prefix[:] = 0.0
-            built = 0
-        _add_paulis(prefix, ((term.alpha, term.op) for term in hamiltonian.terms[built:count]))
-        built = count
-        series = (-1j * t / k) * (prefix if k == len(counts) else prefix @ series)
-        series.flat[:: dim + 1] += 1.0
-    return series
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
+        for k in range(len(counts), 0, -1):
+            count = counts[k - 1]
+            if count < built:
+                prefix[:] = 0.0
+                built = 0
+            _add_terms(prefix, table, built, count)
+            built = count
+            series = (-1j * t / k) * (prefix if k == len(counts) else prefix @ series)
+            series.flat[:: dim + 1] += 1.0
+    return _finite(series, "the truncated series", t)
+
+
+def _finite(matrix: np.ndarray, name: str, t: float) -> np.ndarray:
+    """``matrix``, unless an entry overflowed to inf or nan: then a ``ValueError`` naming ``t``."""
+    if not np.isfinite(matrix.view(float)).all():  # the real view is checked twice as fast
+        raise ValueError(f"{name} overflows at t = {t}")
+    return matrix
 
 
 def amplification_polynomial(operator: np.ndarray, s: float) -> np.ndarray:
@@ -265,11 +313,16 @@ def amplified_operator(
     levels: "TruncationVector | Sequence[int]",
     t: float,
 ) -> np.ndarray:
-    """Operator effectively applied after one oblivious amplification step."""
+    """Operator effectively applied after one oblivious amplification step; raises if it overflows at ``t``."""
     vec = as_levels(levels)
     truncated = truncated_series_operator(hamiltonian, vec, t)
     s = s_value(hamiltonian, vec, t)
-    return amplification_polynomial(truncated, s)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
+            amplified = amplification_polynomial(truncated, s)
+    except OverflowError:  # s**3 is past the largest float
+        raise ValueError(f"the amplified step overflows at t = {t}") from None
+    return _finite(amplified, "the amplified step", t)
 
 
 def operator_norm(matrix: np.ndarray) -> float:

@@ -2,12 +2,15 @@
 
 import math
 import re
+import warnings
+from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from lcutrunc import densesim
 from lcutrunc.errors import CapExceeded
 from lcutrunc.densesim import (
     amplification_polynomial,
@@ -88,6 +91,116 @@ def test_hamiltonian_matrix_folded_phases():
     assert np.abs(hamiltonian_matrix(ham) - expected).max() <= 1e-12
 
 
+def shared_mask_hamiltonian() -> SortedHamiltonian:
+    """Every I/Z string on 4 qubits, then every string with X or Y exactly on qubits {0, 2}, then on {1, 2, 3}.
+
+    Strings of one X mask write the same entries, so each entry sums up to 16 terms.
+    """
+    rng = np.random.default_rng(41)
+    axes = []
+    for mask in ((), (0, 2), (1, 2, 3)):
+        for bits in product((0, 1), repeat=4):
+            axes.append("".join(("XY" if q in mask else "IZ")[bit] for q, bit in enumerate(bits)))
+    return SortedHamiltonian.from_terms(
+        HamiltonianTerm(alpha=float(10.0 ** rng.uniform(-4.0, 0.0)), op=PauliString(a, PHASE_UNITS[int(rng.integers(4))]))
+        for a in axes
+    )
+
+
+def oracle_matrix(terms) -> np.ndarray:
+    return matrix_from_raw([term.coefficient for term in terms], [term.op.axes for term in terms])
+
+
+def oracle_series(hamiltonian: SortedHamiltonian, levels, t: float) -> np.ndarray:
+    """The series' Horner steps, each prefix Hamiltonian summed Kronecker product by Kronecker product."""
+    dim = 2**hamiltonian.qubit_count
+    series = np.eye(dim, dtype=complex)
+    for k in range(len(levels), 0, -1):
+        prefix = oracle_matrix(hamiltonian.terms[: levels[k - 1]])
+        series = (-1j * t / k) * (prefix if k == len(levels) else prefix @ series)
+        series.flat[:: dim + 1] += 1.0
+    return series
+
+
+def test_terms_sharing_an_x_mask_sum_in_term_order_in_full_and_prefix_by_prefix():
+    ham = shared_mask_hamiltonian()
+    assert ham.num_terms == 48
+    assert np.array_equal(hamiltonian_matrix(ham), oracle_matrix(ham.terms))
+    # the in-place extension the series makes, one term at a time
+    prefix = np.zeros((16, 16), dtype=complex)
+    for m in range(1, ham.num_terms + 1):
+        densesim._add_terms(prefix, densesim._symplectic_table(ham), m - 1, m)
+        assert np.array_equal(prefix, oracle_matrix(ham.terms[:m])), m
+    # uneven extensions, then an order with fewer terms than the order after it, which restarts the build
+    t = t_infinity(ham)
+    for levels in ((48, 33, 17, 16, 5, 2, 1), (3, 40, 7, 20)):
+        assert np.array_equal(truncated_series_operator(ham, levels, t), oracle_series(ham, levels, t)), levels
+
+
+@pytest.fixture
+def scatter_sizes(monkeypatch):
+    """The index count of every ``np.add.at`` call densesim makes, in call order."""
+    sizes = []
+
+    class Add:
+        @staticmethod
+        def at(flat, indices, values):
+            sizes.append(len(indices))
+            np.add.at(flat, indices, values)
+
+    class Numpy:
+        add = Add
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(densesim, "np", Numpy())
+    return sizes
+
+
+def test_more_terms_than_one_scatter_holds(scatter_sizes):
+    # at 8 qubits one scatter holds 2**16 / 256 = 256 terms
+    rng = np.random.default_rng(43)
+    ham = random_pauli_hamiltonian(rng, 8, 300, decades=4.0)
+    assert ham.num_terms == 300
+    expected = oracle_matrix(ham.terms)
+    assert np.array_equal(hamiltonian_matrix(ham), expected)
+    prefix, table = np.zeros((256, 256), dtype=complex), densesim._symplectic_table(ham)
+    densesim._add_terms(prefix, table, 0, 40)
+    densesim._add_terms(prefix, table, 40, 300)
+    assert np.array_equal(prefix, expected)
+    assert scatter_sizes == [256 * 256, 44 * 256, 40 * 256, 256 * 256, 4 * 256]
+
+
+def test_a_scatter_narrower_than_the_matrix_splits_each_term_by_columns(monkeypatch, scatter_sizes):
+    ham = shared_mask_hamiltonian()
+    monkeypatch.setattr(densesim, "_SCATTER", 4)  # a quarter of each 16-column term per scatter
+    assert np.array_equal(hamiltonian_matrix(ham), oracle_matrix(ham.terms))
+    assert scatter_sizes == [4] * 4 * ham.num_terms
+    assert np.array_equal(pauli_string_matrix(PauliString("XYZI", -1j)), -1j * kron_chain("XYZI"))
+
+
+def test_the_symplectic_table_is_built_once_per_object_and_leaves_equality_hash_and_repr_alone(two_term, monkeypatch):
+    calls = 0
+    exact = densesim._symplectic
+
+    def counted(op):
+        nonlocal calls
+        calls += 1
+        return exact(op)
+
+    monkeypatch.setattr(densesim, "_symplectic", counted)
+    fresh = parse_hamiltonian("1.0 ZI\n0.1 XX", label="two-term")
+    hamiltonian_matrix(two_term)
+    truncated_series_operator(two_term, (2, 1), 0.3)
+    amplified_operator(two_term, (1, 2), 0.3)
+    multi_step_error(two_term, (2, 1), 3)
+    assert calls == two_term.num_terms
+    assert two_term == fresh and hash(two_term) == hash(fresh) and repr(two_term) == repr(fresh)
+    hamiltonian_matrix(fresh)  # equal, but another object: it builds its own
+    assert calls == 2 * two_term.num_terms
+
+
 def test_qubit_cap_enforced(monkeypatch):
     ham = parse_hamiltonian("1.0 ZZZ")
     monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", "2")
@@ -96,6 +209,15 @@ def test_qubit_cap_enforced(monkeypatch):
     assert qubit_cap() == 2
     with pytest.raises(CapExceeded):
         exact_evolution(ham, 0.1)
+
+
+def test_pauli_string_matrix_enforces_the_qubit_cap_before_it_allocates(monkeypatch):
+    monkeypatch.setenv("LCUTRUNC_QUBIT_CAP", "2")
+    assert np.array_equal(pauli_string_matrix(PauliString("ZX")), kron_chain("ZX"))
+    # one qubit over the cap, and a string whose matrix no array could hold
+    for qubits in (3, 40):
+        with pytest.raises(CapExceeded, match=f"^{qubits} qubits exceeds the dense cap of 2$"):
+            pauli_string_matrix(PauliString("X" * qubits))
 
 
 # ------------------------------------------------------- exact evolution
@@ -242,6 +364,23 @@ def test_series_error_decays_within_tail_bound():
         if previous is not None:
             assert err <= previous + 1e-12
         previous = err
+
+
+def test_series_and_amplified_step_raise_naming_t_where_they_overflow(two_term):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes either
+        for t in (1e300, -1e300):
+            with pytest.raises(ValueError, match=f"^the truncated series overflows at t = {re.escape(str(t))}$"):
+                truncated_series_operator(two_term, (2, 1), t)
+        with pytest.raises(ValueError, match=r"^the truncated series overflows at t = 1e\+200$"):
+            amplified_operator(two_term, (2, 1), 1e200)
+        # the series is finite, s**3 is not
+        assert np.isfinite(truncated_series_operator(two_term, (2, 1), 1e60)).all()
+        with pytest.raises(ValueError, match=r"^the amplified step overflows at t = 1e\+60$"):
+            amplified_operator(two_term, (2, 1), 1e60)
+        # entries near 5e299 and 1e239 are returned
+        assert np.isfinite(truncated_series_operator(two_term, (2, 1), 1e150)).all()
+        assert np.isfinite(amplified_operator(two_term, (2, 1), 1e40)).all()
 
 
 # ------------------------------------------------------- amplification
