@@ -41,8 +41,8 @@ from .planner import (
 )
 from .densesim import (
     _check_qubits,
+    _checked_amplification,
     _Numpy,
-    amplification_polynomial,
     operator_norm,
     pauli_string_matrix,
     truncated_series_operator,
@@ -295,7 +295,8 @@ def verify_identities(
     contractions with p; P itself is never formed and no d×d array is held.
     The normalization is read back from ``p[0]``,
     ``|p[0]|^2 = (1/N) prod_k alpha_1/Lambda_k`` over the index registers
-    that have qubits, and compared with ``s``.
+    that have qubits, and compared with ``s``.  A ``t`` at which the series
+    or the amplified step overflows raises ``ValueError``, as in ``densesim``.
     """
     vec = _contiguous_levels(levels)
     if t is None:
@@ -311,7 +312,7 @@ def verify_identities(
 
     truncated = truncated_series_operator(hamiltonian, vec, t)
     s = s_value(hamiltonian, vec, t)
-    reference_amplified = amplification_polynomial(truncated, s)
+    reference_amplified = _checked_amplification(truncated, s, t)
 
     alpha_1 = hamiltonian.terms[0].alpha
     index_mass = math.prod(

@@ -205,7 +205,7 @@ def _check_hermitian(hamiltonian: SortedHamiltonian) -> None:
         raise ValueError("Hamiltonian matrix is not Hermitian")
 
 
-def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndarray | None = None) -> np.ndarray:
+def exact_evolution(hamiltonian: SortedHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) by a scaled Taylor series; raises for a ``t`` out of range or a non-Hermitian H.
 
     With ``x = (-i t / 2**s) H``, where ``s`` is the least integer >= 0 with
@@ -219,21 +219,19 @@ def exact_evolution(hamiltonian: SortedHamiltonian, t: float, *, matrix: np.ndar
     as ``2**(s - 52)``, as does the effect of rounding ``t H`` itself.  A ``t``
     past ``2**20 t_inf`` would take more than ``_MAX_SQUARINGS`` = 20
     squarings, and an error past ``2**-32`` (about 2.3e-10), so it is rejected.
-
-    ``matrix``, if given, is ``hamiltonian_matrix(hamiltonian)``, already built.
+    H is built here and scaled in place into ``x``, so no other copy of it is held.
     """
     limit = t_infinity(hamiltonian)
     ratio = abs(t) / limit  # a quotient, not 2**20 t_inf, which overflows for the smallest Lambda
     if not ratio <= 2.0**_MAX_SQUARINGS:
         raise ValueError(f"t must be finite and within 2**{_MAX_SQUARINGS} t_inf, t_inf = {limit!r}, got {t}")
-    if matrix is None:
-        _check_hermitian(hamiltonian)
-        matrix = hamiltonian_matrix(hamiltonian)
+    _check_hermitian(hamiltonian)
     squarings = 0
     while math.ldexp(ratio, -squarings) > 1.0:
         squarings += 1
-    dim = matrix.shape[0]
-    x = (-1j * math.ldexp(t, -squarings)) * matrix
+    x = hamiltonian_matrix(hamiltonian)
+    x *= -1j * math.ldexp(t, -squarings)
+    dim = x.shape[0]
     x2 = x @ x
     x3 = x2 @ x
     x4 = x2 @ x2
@@ -315,8 +313,11 @@ def amplified_operator(
 ) -> np.ndarray:
     """Operator effectively applied after one oblivious amplification step; raises if it overflows at ``t``."""
     vec = as_levels(levels)
-    truncated = truncated_series_operator(hamiltonian, vec, t)
-    s = s_value(hamiltonian, vec, t)
+    return _checked_amplification(truncated_series_operator(hamiltonian, vec, t), s_value(hamiltonian, vec, t), t)
+
+
+def _checked_amplification(truncated: np.ndarray, s: float, t: float) -> np.ndarray:
+    """``amplification_polynomial(truncated, s)``, or a ``ValueError`` naming ``t`` if it overflows."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
             amplified = amplification_polynomial(truncated, s)
@@ -372,22 +373,16 @@ class _StepErrors:
 
     ``U = exp(-iH t_inf)`` and ``A`` is the amplified step.  The spectral
     work is done at most once and shared by every vector measured: the
-    eigenvalues for full-order vectors, ``exact_evolution`` for the others,
-    both from one dense H built on first use.
+    eigenvalues for full-order vectors, ``exact_evolution`` for the others.
+    Each builds its own dense H and drops it, so only U and the eigenvalues
+    are kept.
     """
 
     def __init__(self, hamiltonian: SortedHamiltonian):
         self.hamiltonian = hamiltonian
         self.t = t_infinity(hamiltonian)
-        self._matrix: np.ndarray | None = None
         self._eigenvalues: np.ndarray | None = None
         self._exact: np.ndarray | None = None
-
-    def _hamiltonian_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            _check_hermitian(self.hamiltonian)
-            self._matrix = hamiltonian_matrix(self.hamiltonian)
-        return self._matrix
 
     def measure(self, levels: "TruncationVector | Sequence[int]", r_max: int = 1) -> list[float]:
         """``[||U^r - A^r|| for r = 1..r_max]``; off full order, ``U^r`` and ``A^r`` are repeated products."""
@@ -396,7 +391,7 @@ class _StepErrors:
         if all(count == self.hamiltonian.num_terms for count in live):
             return self._full_order(len(live), epsilon_bound(self.hamiltonian, vec), r_max)
         if self._exact is None:
-            self._exact = exact_evolution(self.hamiltonian, self.t, matrix=self._hamiltonian_matrix())
+            self._exact = exact_evolution(self.hamiltonian, self.t)
         amplified = amplified_operator(self.hamiltonian, vec, self.t)
         exact_power, amplified_power = self._exact, amplified
         errors = [operator_norm(exact_power - amplified_power)]
@@ -421,7 +416,8 @@ class _StepErrors:
         out, so nothing cancels.
         """
         if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvalsh(self._hamiltonian_matrix())
+            _check_hermitian(self.hamiltonian)
+            self._eigenvalues = np.linalg.eigvalsh(hamiltonian_matrix(self.hamiltonian))
         x = -1j * self.t * self._eigenvalues
         # past 20 terms the remainder's tail is below 2.1 ln(2)^20 / 20! ~ 6e-22 of it
         term, remainder = np.ones_like(x), np.zeros_like(x)

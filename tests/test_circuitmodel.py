@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +401,14 @@ def test_circuit_model_rejects_a_bad_t(two_term, t):
     for build in (build_prepare, verify_identities, order_weights, s_value, gain):
         with pytest.raises(ValueError, match=f"t must be finite and nonnegative, got {t}"):
             build(two_term, (2, 1), t)
+
+
+def test_identities_raise_naming_t_where_the_amplified_step_overflows(two_term):
+    # the series is finite at t = 1e60, s**3 is not: the same error as amplified_operator's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the amplified step overflows at t = 1e\+60$"):
+            verify_identities(two_term, (2, 1), t=1e60)
 
 
 @pytest.mark.parametrize("case", [31, 32, 33, 34, "unused-index"])

@@ -733,8 +733,10 @@ def test_simulate_rejects_non_hermitian_input_before_building_a_matrix(tmp_path,
     monkeypatch.setattr(densesim_module, "hamiltonian_matrix", no_matrix)
     path = tmp_path / "anti.txt"
     path.write_text("1 Z\n0.5i X\n")
-    assert main(["simulate", "--hamiltonian", str(path), "--levels", "1"]) == 2
-    assert "not Hermitian" in capsys.readouterr().err
+    # off full order, through exact_evolution; at full order, through the eigenvalues
+    for argv in (["simulate", "--levels", "1"], ["simulate", "--order", "1"], ["compare", "--n-max", "2", "--dense"]):
+        assert main([argv[0], "--hamiltonian", str(path), *argv[1:]]) == 2, argv
+        assert "not Hermitian" in capsys.readouterr().err, argv
 
 
 def test_unknown_extension_rejected(ham_file, tmp_path):

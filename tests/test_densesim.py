@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -575,6 +576,23 @@ def test_amplified_error_bound_on_greedy_prefixes():
                 continue
             report = single_step_error(ham, levels)
             assert report.delta <= eps + 2 * eps**2
+
+
+def test_an_off_full_order_measurement_holds_six_dense_arrays_and_two_more_for_powers():
+    # exact_evolution's six (x to x^4, the sum and one product) bound a single step; U^r and A^r add two
+    ham = logspread_hamiltonian(64, 4.0, 8, 1)
+    levels = greedy_plan(ham, budget=128).final
+    assert levels.levels == (47, 38, 28, 15)
+    single_step_error(ham, levels)  # the first call's imports would count in the peak
+    array = np.dtype(complex).itemsize * 256**2
+    for call, limit in ((lambda: single_step_error(ham, levels), 6.5), (lambda: multi_step_error(ham, levels, 3), 8.5)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * array, (limit, peak / array)
 
 
 # ------------------------------------------------------- full orders from the spectrum

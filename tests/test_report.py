@@ -113,9 +113,10 @@ def test_dense_report_shares_its_spectral_work(monkeypatch):
         count(np.linalg, name)
     generate_comparison_report(logspread_hamiltonian(8, 2, 3, 4), 3, with_dense=True)
     # one eigvalsh of H for the full orders; for the greedy vectors, one exact
-    # evolution and a norm per row, each norm with one eigvalsh of its own; both
-    # read one dense H, and nothing calls eigh
-    assert calls == {"hamiltonian_matrix": 1, "eigvalsh": 1 + 3, "exact_evolution": 1, "operator_norm": 3}
+    # evolution and a norm per row, each norm with one eigvalsh of its own; the
+    # eigenvalues and the evolution each build H once and keep no copy, and
+    # nothing calls eigh
+    assert calls == {"hamiltonian_matrix": 2, "eigvalsh": 1 + 3, "exact_evolution": 1, "operator_norm": 3}
 
 
 def test_dense_report_measures_each_greedy_vector_once(monkeypatch):
